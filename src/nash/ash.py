@@ -132,30 +132,45 @@ def fit_weights_em(
 ) -> MixtureWeights:
     """Estimate mixture weights by EM on the marginal likelihood.
 
-    Each iteration computes posterior component responsibilities and averages
-    them; the objective is non-decreasing and the loop stops once its relative
-    change drops below ``tol``.
+    The loop runs in likelihood space on ``lik = exp(log_lik - rowmax)``,
+    built once per call, where ``rowmax`` is each row's largest entry over the
+    components that ``init`` gives positive weight (the only ones EM can ever
+    weight).  With ``s = lik @ pi`` an EM step is ``pi *= lik.T @ (1/s) / p``
+    followed by renormalisation, and the objective is
+    ``log(s).sum() + rowmax.sum()`` from the same ``s``: two mat-vecs per
+    iteration and no ``logsumexp``.  Every row keeps an entry of 1 under a
+    positively weighted component, so ``s`` never underflows to zero.  The
+    objective is non-decreasing and the loop stops once its relative change
+    drops below ``tol``.
     """
     log_lik = np.asarray(log_lik, dtype=float)
     if not np.isfinite(log_lik).all():
         raise ValueError("log-likelihood matrix must be finite")
-    m = log_lik.shape[1]
+    p, m = log_lik.shape
     if init.pi.size != m:
         raise ValueError("weight length does not match the likelihood matrix")
     if m == 1:
         return MixtureWeights(np.array([1.0]))
-    pi = init.pi.copy()
-    prev = mixture_objective(log_lik, pi)
+    support = np.flatnonzero(init.pi > 0)
+    if support.size < m:
+        log_lik = log_lik[:, support]
+    rowmax = log_lik.max(axis=1)
+    offset = float(rowmax.sum())
+    lik = np.exp(log_lik - rowmax[:, None])
+    pi = init.pi[support]
+    s = lik @ pi
+    prev = float(np.log(s).sum()) + offset
     for _ in range(max_iter):
-        a = log_lik + _log_weights(pi)[None, :]
-        a -= logsumexp(a, axis=1)[:, None]
-        pi = np.exp(a).mean(axis=0)
+        pi = pi * (lik.T @ (1.0 / s)) / p
         pi /= pi.sum()
-        cur = mixture_objective(log_lik, pi)
+        s = lik @ pi
+        cur = float(np.log(s).sum()) + offset
         if abs(cur - prev) <= tol * (1.0 + abs(prev)):
             break
         prev = cur
-    return MixtureWeights(pi)
+    out = np.zeros(m)
+    out[support] = pi
+    return MixtureWeights(out)
 
 
 def _component_posteriors(beta_bar: np.ndarray, sigma02: float, variances: np.ndarray):

@@ -155,7 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_prior(args, p: int, seed: int):
+def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
+    """The prior and its side information for a design with ``p`` original columns.
+
+    Side information always describes the original columns.  When
+    ``--drop-constant`` kept only the columns ``kept``, feature rows are taken
+    for those columns alone and graphs are built on all ``p`` columns, then
+    restricted to the kept ones, so no edge links across a dropped column.
+    """
     train_config = TrainConfig(
         learning_rate=args.learning_rate,
         steps=args.steps,
@@ -168,6 +175,9 @@ def _build_prior(args, p: int, seed: int):
         if not args.side:
             raise ConfigError(f"{args.prior} prior requires side information (--side)")
         D, _ = load_side_csv(args.side)
+        SideInfo.from_features(D).check_p(p)
+        if kept is not None:
+            D = D[kept]
         side = SideInfo.from_features(D)
         if args.prior == "softmax":
             return SoftmaxPrior(D, n_components=args.grid_size, hidden=args.hidden,
@@ -189,6 +199,8 @@ def _build_prior(args, p: int, seed: int):
         graph = Graph.grid4(h, w)
     else:
         graph = load_graph_edges_csv(side_arg, p)
+    if kept is not None:
+        graph = graph.subgraph(kept)
     return FusedPrior(graph), SideInfo.from_graph(graph)
 
 
@@ -196,14 +208,15 @@ def cmd_fit(args) -> int:
     X, _ = load_matrix_csv(args.x)
     y = load_response_csv(args.y)
     dataset = Dataset(y=y, X=X)
+    p = dataset.p
     columns = None
     if args.drop_constant:
         reduced, kept = drop_constant_columns(dataset)
-        if kept.size < dataset.p:
-            print(f"warning: dropped {dataset.p - kept.size} constant column(s)", file=sys.stderr)
+        if kept.size < p:
+            print(f"warning: dropped {p - kept.size} constant column(s)", file=sys.stderr)
             columns = kept
         dataset = reduced
-    prior, side = _build_prior(args, dataset.p, args.seed)
+    prior, side = _build_prior(args, p, columns, args.seed)
     config = FitConfig(
         max_sweeps=args.max_sweeps,
         elbo_tol=args.elbo_tol,

@@ -114,8 +114,10 @@ def standardize(dataset: Dataset) -> StandardizedDesign:
     """Center y; center each column of X and scale it to sample standard deviation 1.
 
     After scaling every column satisfies x_j^T x_j = n - 1, the convention the
-    coordinate updates in the engine rely on.  Columns with zero sample variance
-    are a hard error (see ``drop_constant_columns`` for the permissive path).
+    coordinate updates in the engine rely on.  ``Xs`` is written straight into
+    one Fortran-ordered array, so each column is contiguous for the engine's
+    BLAS calls.  Columns with zero sample variance are a hard error (see
+    ``drop_constant_columns`` for the permissive path).
     """
     X, y = dataset.X, dataset.y
     col_means = X.mean(axis=0)
@@ -123,7 +125,9 @@ def standardize(dataset: Dataset) -> StandardizedDesign:
     bad = np.flatnonzero(col_scales == 0.0)
     if bad.size:
         raise ConstantColumnError(int(bad[0]))
-    Xs = np.asfortranarray((X - col_means) / col_scales)
+    Xs = np.empty(X.shape, order="F")
+    np.subtract(X, col_means, out=Xs)
+    Xs /= col_scales
     y_mean = float(y.mean())
     ys = y - y_mean
     return StandardizedDesign(Xs=Xs, ys=ys, y_mean=y_mean, col_means=col_means, col_scales=col_scales)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .ash import PosteriorStats, PosteriorSummary
 from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
@@ -255,22 +256,35 @@ def update_sigma02(
 
 
 def _coordinate_pass(state: FitState, design: StandardizedDesign) -> None:
-    """One in-place cycle of conjugate coefficient updates over all columns."""
-    Xs = design.Xs
+    """One cycle of conjugate coefficient updates over all columns.
+
+    Works on one copy of the residual per sweep, so an ``r_bar`` array the
+    caller still holds is left alone, and updates it in place with BLAS
+    ``ddot``/``daxpy`` on the Fortran-ordered columns of ``Xs``.  Because
+    ``standardize`` scales every column to x_j^T x_j = n-1, the least-squares
+    estimate against the partial residual r + x_j beta_j is
+    x_j^T r / (n-1) + beta_j, so the partial residual is never formed.
+    """
+    Xs = np.asfortranarray(design.Xs, dtype=float)
     n, p = Xs.shape
+    columns = Xs.ravel(order="F")
     scale = n - 1
     omega = state.omega
-    beta = state.beta_bar
-    b_bar = state.b_bar
-    r = state.r_bar
-    mle = state.beta_mle
+    beta = state.beta_bar.tolist()
+    b_bar = state.b_bar.tolist()
+    mle = [0.0] * p
+    r = np.array(state.r_bar, dtype=float)
     for j in range(p):
-        x_j = Xs[:, j]
-        r_j = r + x_j * beta[j]
-        ols = float(x_j @ r_j) / scale
+        offset = j * n
+        old = beta[j]
+        ols = ddot(columns, r, n, offset) / scale + old
         mle[j] = ols
-        beta[j] = update_beta(ols, b_bar[j], omega)
-        r = r_j - x_j * beta[j]
+        new = update_beta(ols, b_bar[j], omega)
+        if new != old:
+            r = daxpy(columns, r, n, old - new, offset)
+            beta[j] = new
+    state.beta_bar[:] = beta
+    state.beta_mle[:] = mle
     state.r_bar = r
     state.posterior_fresh = False
 

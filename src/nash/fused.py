@@ -67,9 +67,16 @@ class Graph:
         # flat edge arrays for vectorized neighbor aggregation
         src = np.repeat(np.arange(p), [nb.size for nb in self.neighbors])
         dst = np.concatenate(self.neighbors) if p and src.size else np.empty(0, dtype=int)
+        if kind == "chain" and np.any(np.abs(src - dst) != 1):
+            raise ValueError("chain nodes may only link to the next and previous node")
         self._src = src
         self._dst = dst
         self.degrees = np.array([nb.size for nb in self.neighbors])
+        # chain positions i whose link to i+1 is missing (a chain restricted to
+        # some of its nodes falls apart into pieces)
+        linked = np.zeros(max(p - 1, 0), dtype=bool)
+        linked[src[dst == src + 1]] = True
+        self.chain_cuts = np.flatnonzero(~linked)
 
     @classmethod
     def chain(cls, p: int) -> "Graph":
@@ -107,6 +114,24 @@ class Graph:
             adj[i].add(j)
             adj[j].add(i)
         return cls([np.array(sorted(s), dtype=int) for s in adj], kind=kind)
+
+    def subgraph(self, nodes) -> "Graph":
+        """The graph induced on ``nodes`` (ascending), renumbered 0..len(nodes)-1.
+
+        Only edges between two kept nodes survive, so no edge links across a
+        removed node.
+        """
+        nodes = np.asarray(nodes, dtype=int)
+        ascending = nodes.ndim == 1 and bool(np.all(np.diff(nodes) > 0))
+        if not ascending or (nodes.size and (nodes[0] < 0 or nodes[-1] >= self.p)):
+            raise ValueError(f"subgraph nodes must be ascending indices in 0..{self.p - 1}")
+        index = np.full(self.p, -1)
+        index[nodes] = np.arange(nodes.size)
+        neighbors = []
+        for j in nodes:
+            nb = index[self.neighbors[j]]
+            neighbors.append(nb[nb >= 0])
+        return Graph(neighbors, kind=self.kind)
 
     def neighbor_mean(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean of each node's neighbor values plus an isolated-node mask."""
@@ -558,6 +583,8 @@ def _neighbor_matrix(graph: Graph, b_bar: np.ndarray, net: MessageNet | None = N
         nbr = np.full((graph.p, 2), np.nan)
         nbr[1:, 0] = b_bar[:-1]
         nbr[:-1, 1] = b_bar[1:]
+        nbr[graph.chain_cuts + 1, 0] = np.nan
+        nbr[graph.chain_cuts, 1] = np.nan
         return nbr, None
     means, isolated = graph.neighbor_mean(b_bar)
     nbr = means[:, None].copy()

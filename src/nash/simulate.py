@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .ash import AshPrior
 from .data import Dataset, SideInfo
@@ -136,7 +136,7 @@ def _noise(rng, family, df, sd, size):
         draws = rng.standard_t(df, size=size)
         if df > 2:
             return draws * sd * np.sqrt((df - 2.0) / df)
-        scale = sd * GAUSSIAN_MAD / float(student_t.ppf(0.75, df))
+        scale = sd * GAUSSIAN_MAD / float(stdtrit(df, 0.75))
         return draws * scale
     raise ConfigError(f"{family!r} is not a noise distribution")
 

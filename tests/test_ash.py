@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import simplex_grid_best
 from nash.ash import (
@@ -98,10 +99,82 @@ class TestMarginalLoglik:
             np.testing.assert_allclose(np.exp(log_lik[0, 1]), integral, atol=1e-8)
 
 
+def em_log_space_oracle(log_lik, init, max_iter=1000, tol=1e-8):
+    """Reference EM that renormalises every iteration in log space with ``logsumexp``.
+
+    Same iterates and stopping rule as ``fit_weights_em``; returns the weights
+    and the number of iterations run.
+    """
+    if log_lik.shape[1] == 1:
+        return np.array([1.0]), 0
+    pi = np.asarray(init, dtype=float).copy()
+    prev = mixture_objective(log_lik, pi)
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        with np.errstate(divide="ignore"):
+            a = log_lik + np.log(pi)[None, :]
+        a -= logsumexp(a, axis=1)[:, None]
+        pi = np.exp(a).mean(axis=0)
+        pi /= pi.sum()
+        cur = mixture_objective(log_lik, pi)
+        if abs(cur - prev) <= tol * (1.0 + abs(prev)):
+            break
+        prev = cur
+    return pi, iterations
+
+
+def assert_matches_oracle(log_lik, init, tol=1e-8):
+    """Weights within 1e-12 of the oracle after the same number of iterations."""
+    expected, iterations = em_log_space_oracle(log_lik, init, tol=tol)
+    got = fit_weights_em(log_lik, MixtureWeights(init), tol=tol).pi
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[init == 0], 0.0)
+    if iterations:
+        # stopped at the oracle's iteration: one fewer gives another iterate,
+        # a larger budget gives the same one
+        capped = fit_weights_em(log_lik, MixtureWeights(init), max_iter=iterations, tol=tol).pi
+        np.testing.assert_array_equal(capped, got)
+        if iterations > 1:
+            short = fit_weights_em(log_lik, MixtureWeights(init), max_iter=iterations - 1, tol=tol).pi
+            assert np.any(short != got)
+
+
 class TestEmWeights:
-    def test_single_component_trivial(self):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_log_space_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        p, m = int(rng.integers(20, 400)), int(rng.integers(2, 21))
+        beta = rng.standard_normal(p) * np.where(rng.uniform(size=p) < 0.1, 3.0, 0.2)
+        sigma02 = float(rng.uniform(0.01, 0.5))
+        log_lik = marginal_loglik_matrix(beta, sigma02, default_grid(beta, sigma02, m))
+        init = rng.dirichlet(np.ones(m))
+        assert_matches_oracle(log_lik, init)
+        pi = MixtureWeights(init)
+        values = [mixture_objective(log_lik, pi.pi)]
+        for _ in range(30):
+            pi = fit_weights_em(log_lik, pi, max_iter=1)
+            values.append(mixture_objective(log_lik, pi.pi))
+        assert np.all(np.diff(values) >= -1e-10 * (1.0 + abs(values[0])))
+
+    def test_init_with_zero_entries(self, rng):
+        log_lik = rng.normal(0, 2, size=(60, 5))
+        assert_matches_oracle(log_lik, np.array([0.0, 0.5, 0.0, 0.25, 0.25]))
+        assert_matches_oracle(log_lik, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+
+    def test_best_component_unweighted_and_others_underflow(self, rng):
+        # row 0 peaks on component 0, which has no weight; every other
+        # component sits more than 745 nats lower, so exp underflows to 0
+        log_lik = rng.normal(0, 1, size=(30, 4))
+        log_lik[0] = [0.0, -800.0, -900.0, -760.0]
+        init = np.array([0.0, 0.2, 0.3, 0.5])
+        assert_matches_oracle(log_lik, init)
+        assert np.isfinite(fit_weights_em(log_lik, MixtureWeights(init)).pi).all()
+
+    def test_single_component_trivial(self, rng):
         weights = fit_weights_em(np.zeros((5, 1)), MixtureWeights(np.array([1.0])))
         np.testing.assert_array_equal(weights.pi, [1.0])
+        assert_matches_oracle(rng.normal(0, 3, size=(12, 1)), np.array([1.0]))
 
     def test_symmetry_preserved(self, rng):
         column = rng.standard_normal(30)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import piecewise_image, random_regression
 from nash.ash import AshPrior
-from nash.cli import main
+from nash.cli import _build_prior, build_parser, main
 from nash.data import Dataset, SideInfo
 from nash.engine import FitConfig, fit
 from nash.pgm import read_pgm, write_pgm
@@ -95,6 +95,49 @@ class TestFitCommand:
         write_csv(tmp_path / "new.csv", X[:3])
         assert main(["predict", "--model", str(model), "--x", str(tmp_path / "new.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 0
+
+    @pytest.fixture
+    def constant_column_files(self, tmp_path):
+        # 12 columns on a 3x4 layout; column 5 is constant
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40, 12))
+        X[:, 5] = 2.0
+        y = X[:, :4] @ np.array([1.5, 1.5, -1.0, 0.5]) + 0.3 * rng.standard_normal(40)
+        write_csv(tmp_path / "x.csv", X)
+        write_csv(tmp_path / "y.csv", y[:, None])
+        return ["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                "--drop-constant", "--out", str(tmp_path / "m.json")]
+
+    def test_drop_constant_with_side_features(self, constant_column_files, tmp_path, capsys):
+        side = tmp_path / "side.csv"
+        side.write_text("".join("a\n" if j < 6 else "b\n" for j in range(12)))
+        code = main(constant_column_files + ["--prior", "softmax", "--side", str(side),
+                                             "--steps", "30", "--later-steps", "10", "--max-sweeps", "5"])
+        assert code == 0
+        assert "dropped 1 constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph", ["chain", "grid:3x4", "edges"])
+    def test_drop_constant_with_graph(self, constant_column_files, tmp_path, graph):
+        if graph == "edges":
+            edges = tmp_path / "edges.csv"
+            edges.write_text("".join(f"{j},{j + 1}\n" for j in range(11)))
+            graph = str(edges)
+        code = main(constant_column_files + ["--prior", "fused", "--side", graph, "--max-sweeps", "5"])
+        assert code == 0
+
+    def test_dropped_column_cuts_the_graph(self):
+        args = build_parser().parse_args(["fit", "--x", "x.csv", "--y", "y.csv", "--out", "m.json",
+                                          "--prior", "fused", "--side", "chain"])
+        _, side = _build_prior(args, 6, np.array([0, 1, 3, 4, 5]), 0)
+        assert side.graph.kind == "chain"
+        assert [nb.tolist() for nb in side.graph.neighbors] == [[1], [0], [3], [2, 4], [3]]
+
+    def test_side_rows_checked_against_original_columns(self, constant_column_files, tmp_path, capsys):
+        side = tmp_path / "side.csv"
+        side.write_text("a\nb\n" * 4)
+        code = main(constant_column_files + ["--prior", "softmax", "--side", str(side)])
+        assert code == 2
+        assert "has 8 rows but the design has 12 columns" in capsys.readouterr().err
 
 
 class TestPredictCommand:

@@ -69,6 +69,7 @@ class TestStandardize:
         X = rng.standard_normal((30, 6)) * rng.uniform(0.5, 10.0, size=6) + rng.normal(0, 5, size=6)
         design = standardize(Dataset(y=rng.standard_normal(30), X=X))
         n = 30
+        assert design.Xs.flags.f_contiguous
         assert np.all(np.abs(design.Xs.mean(axis=0)) < 1e-10)
         norms = np.einsum("ij,ij->j", design.Xs, design.Xs)
         assert np.all(np.abs(norms - (n - 1)) < 1e-8 * (n - 1))

@@ -1,6 +1,7 @@
 """Engine tests: coordinate updates, ELBO bookkeeping, convergence, prediction."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from nash.ash import AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, mixt
 from nash.data import Dataset, SideInfo, standardize
 from nash.engine import (
     FitConfig,
+    _coordinate_pass,
     blend_weight,
     compute_elbo,
     coefficient_variance,
@@ -120,6 +122,52 @@ class TestPartialResidual:
         state = init_state(design, FitConfig())
         with pytest.raises(IndexError):
             partial_residual(state, 99, design.Xs[:, 0])
+
+
+def textbook_coordinate_pass(state, design):
+    """Reference pass: form each partial residual, regress on it, subtract the new effect."""
+    r = state.r_bar
+    for j in range(design.p):
+        x_j = design.Xs[:, j]
+        r_j = r + x_j * state.beta_bar[j]
+        ols = float(x_j @ r_j) / (design.n - 1)
+        state.beta_mle[j] = ols
+        state.beta_bar[j] = update_beta(ols, state.b_bar[j], state.omega)
+        r = r_j - x_j * state.beta_bar[j]
+    state.r_bar = r
+
+
+class TestCoordinatePass:
+    def _state(self, design, rng):
+        state = init_state(design, FitConfig())
+        state.beta_bar = rng.standard_normal(design.p)
+        state.b_bar = rng.standard_normal(design.p)
+        state.r_bar = design.ys - design.Xs @ state.beta_bar
+        return state
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_textbook_loop(self, rng, order):
+        design = make_design(seed=21, n=40, p=12)
+        design = dataclasses.replace(design, Xs=np.asarray(design.Xs, order=order))
+        state = self._state(design, rng)
+        expected = copy.deepcopy(state)
+        for _ in range(3):
+            _coordinate_pass(state, design)
+            textbook_coordinate_pass(expected, design)
+        np.testing.assert_allclose(state.beta_bar, expected.beta_bar, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.beta_mle, expected.beta_mle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.r_bar, expected.r_bar, rtol=0, atol=1e-12)
+        assert state.posterior_fresh is False
+
+    def test_leaves_held_residual_alone(self, rng):
+        design = make_design(seed=22)
+        state = self._state(design, rng)
+        held = state.r_bar
+        before = held.copy()
+        _coordinate_pass(state, design)
+        np.testing.assert_array_equal(held, before)
+        assert state.r_bar is not held
+        np.testing.assert_allclose(state.r_bar, design.ys - design.Xs @ state.beta_bar, atol=1e-12)
 
 
 def run_sweeps(design, prior, config, sweeps):

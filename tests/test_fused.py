@@ -11,6 +11,7 @@ from nash.fused import (
     FusedScales,
     Graph,
     MessageNet,
+    _neighbor_matrix,
     denoise_image,
     estimate_noise_sd,
     fused_log_density,
@@ -64,6 +65,24 @@ class TestGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 0)])
+
+    def test_rejects_chain_link_to_a_non_adjacent_node(self):
+        with pytest.raises(ValueError):
+            Graph([np.array([2]), np.array([], dtype=int), np.array([0])], kind="chain")
+
+    def test_subgraph_keeps_only_edges_between_kept_nodes(self):
+        graph = Graph.grid4(3, 3).subgraph([0, 1, 2, 3, 5, 6, 7, 8])  # drop the center
+        assert graph.kind == "grid4"
+        assert [nb.tolist() for nb in graph.neighbors] == [
+            [1, 3], [0, 2], [1, 4], [0, 5], [2, 7], [3, 6], [5, 7], [4, 6]
+        ]
+        with pytest.raises(ValueError):
+            Graph.chain(4).subgraph([2, 1])
+
+    def test_chain_subgraph_breaks_at_the_removed_node(self):
+        graph = Graph.chain(5).subgraph([0, 1, 3, 4])
+        nbr, _ = _neighbor_matrix(graph, np.array([1.0, 2.0, 4.0, 5.0]))
+        np.testing.assert_array_equal(nbr, [[np.nan, 2.0], [1.0, np.nan], [np.nan, 5.0], [4.0, np.nan]])
 
     def test_neighbor_mean_and_isolated_mask(self):
         graph = Graph.from_edges(4, [(0, 1), (1, 2)])

@@ -1,11 +1,18 @@
 """Tests for the benchmark generators, the scaled metric and the experiment runner."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nash
 from nash.errors import ConfigError, LengthMismatchError
 from nash.simulate import (
+    GAUSSIAN_MAD,
     SimulationConfig,
+    _noise,
     experiment_grid,
     gen_coefficients,
     gen_design,
@@ -121,6 +128,21 @@ class TestGenResponse:
         noise = y - X @ b
         target_mad = 0.6744897501960817 * np.sqrt(sigma2_true)
         assert abs(np.median(np.abs(noise)) / target_mad - 1.0) < 0.03
+
+    @pytest.mark.parametrize("df, quartile", [(1, 1.0), (2, np.sqrt(2.0 / 3.0))])
+    def test_heavy_tail_scale_is_the_t_quartile(self, df, quartile):
+        # the t(1) and t(2) upper quartiles in closed form: tan(pi/4) and sqrt(2/3)
+        draws = np.random.default_rng(3).standard_t(df, size=5)
+        noise = _noise(np.random.default_rng(3), "t", df, 0.7, 5)
+        np.testing.assert_allclose(noise, draws * 0.7 * GAUSSIAN_MAD / quartile, rtol=1e-15)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, nash; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nash.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestScaledPredPerf:
