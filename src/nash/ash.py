@@ -173,12 +173,27 @@ def fit_weights_em(
     return MixtureWeights(out)
 
 
-def _component_posteriors(beta_bar: np.ndarray, sigma02: float, variances: np.ndarray):
-    """Conjugate per-component posterior means and variances (zero-mean components)."""
-    shrink = variances[None, :] / (variances[None, :] + sigma02)
-    comp_mean = np.asarray(beta_bar, dtype=float)[:, None] * shrink
-    comp_var = sigma02 * shrink
-    return comp_mean, comp_var
+def _responsibilities(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log normalisers and responsibilities of ``a`` = log-likelihood + log-weights."""
+    log_marginal = logsumexp(a, axis=1)
+    return log_marginal, np.exp(a - log_marginal[:, None])
+
+
+def _mixture_stats(a: np.ndarray, comp_mean: np.ndarray, comp_var: np.ndarray) -> PosteriorStats:
+    """Posterior summaries of a mixture whose column 0 is the point mass at zero.
+
+    ``a`` holds log-likelihood plus log-weights per coordinate and component;
+    ``comp_mean`` and ``comp_var`` are the per-component posterior moments.
+    """
+    log_marginal, gamma = _responsibilities(a)
+    mean = (gamma * comp_mean).sum(axis=1)
+    second = (gamma * (comp_var + comp_mean**2)).sum(axis=1)
+    return PosteriorStats(
+        mean=mean,
+        variance=np.maximum(second - mean**2, 0.0),
+        null_prob=gamma[:, 0],
+        log_marginal=log_marginal,
+    )
 
 
 def mixture_posterior_stats(
@@ -194,24 +209,10 @@ def mixture_posterior_stats(
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
     pi = weights.pi if isinstance(weights, MixtureWeights) else np.asarray(weights, dtype=float)
-    log_lik = marginal_loglik_matrix(beta_bar, sigma02, grid)
-    if pi.ndim == 1:
-        log_pi = _log_weights(pi)[None, :]
-    else:
-        log_pi = _log_weights(pi)
-    a = log_lik + log_pi
-    log_marginal = logsumexp(a, axis=1)
-    gamma = np.exp(a - log_marginal[:, None])
-    comp_mean, comp_var = _component_posteriors(beta_bar, sigma02, grid.variances)
-    mean = (gamma * comp_mean).sum(axis=1)
-    second = (gamma * (comp_var + comp_mean**2)).sum(axis=1)
-    variance = np.maximum(second - mean**2, 0.0)
-    return PosteriorStats(
-        mean=mean,
-        variance=variance,
-        null_prob=gamma[:, 0],
-        log_marginal=log_marginal,
-    )
+    a = marginal_loglik_matrix(beta_bar, sigma02, grid) + _log_weights(pi)
+    # conjugate posterior of each zero-mean component
+    shrink = grid.variances[None, :] / (grid.variances[None, :] + sigma02)
+    return _mixture_stats(a, beta_bar[:, None] * shrink, sigma02 * shrink)
 
 
 def posterior_summary(
@@ -223,35 +224,6 @@ def posterior_summary(
     """Posterior summary of a single coordinate under the mixture prior."""
     stats = mixture_posterior_stats(np.array([beta_bar_j]), sigma02, grid, weights)
     return stats.summary(0)
-
-
-def cebnm_solve(
-    beta_bar: np.ndarray,
-    sigma02: float,
-    n_components: int = 20,
-    grid: MixtureGrid | None = None,
-    init: MixtureWeights | None = None,
-    em_max_iter: int = 1000,
-    em_tol: float = 1e-8,
-) -> tuple[dict, list[PosteriorSummary]]:
-    """Solve the normal-means subproblem end to end for the shared mixture prior.
-
-    Builds the grid, estimates the weights by EM and returns the fitted prior
-    parameters with one posterior summary per coordinate.
-    """
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    if grid is None:
-        grid = default_grid(beta_bar, sigma02, n_components)
-    log_lik = marginal_loglik_matrix(beta_bar, sigma02, grid)
-    if init is None:
-        init = MixtureWeights.uniform(grid.n_components)
-    weights = fit_weights_em(log_lik, init, max_iter=em_max_iter, tol=em_tol)
-    stats = mixture_posterior_stats(beta_bar, sigma02, grid, weights)
-    params = {
-        "variances": grid.variances.tolist(),
-        "weights": weights.pi.tolist(),
-    }
-    return params, [stats.summary(j) for j in range(beta_bar.size)]
 
 
 class AshPrior:

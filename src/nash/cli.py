@@ -1,4 +1,4 @@
-"""Command-line interface: fit, predict, simulate/benchmark, denoise.
+"""Command-line interface: fit, predict, simulate, denoise.
 
 Exit codes: 0 on success, 2 for usage or input problems, 3 for numeric
 failures.  Every error path emits a single diagnostic line prefixed with
@@ -8,7 +8,6 @@ failures.  Every error path emits a single diagnostic line prefixed with
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -79,15 +78,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _thread_count(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("NASH_THREADS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nash", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -120,24 +110,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--x", required=True)
     p_pred.add_argument("--out", required=True)
 
-    for name in ("simulate", "benchmark"):
-        p_sim = sub.add_parser(name, help="run one of the canned experiments")
-        p_sim.add_argument("--experiment", type=int, required=True)
-        p_sim.add_argument("--out", required=True)
-        p_sim.add_argument("--seed", type=int, default=0)
-        p_sim.add_argument("--replicates", type=int, default=None)
-        p_sim.add_argument("--n", type=int, default=None)
-        p_sim.add_argument("--p", type=int, default=None)
-        p_sim.add_argument("--s", type=int, default=None)
-        p_sim.add_argument("--pve", type=float, default=None)
-        p_sim.add_argument("--rho", type=float, default=None)
-        p_sim.add_argument("--coef-dist", default=None)
-        p_sim.add_argument("--noise-dist", default=None)
-        p_sim.add_argument("--grid-size", type=int, default=20)
-        p_sim.add_argument("--max-sweeps", type=int, default=200)
-        p_sim.add_argument("--timing", action="store_true",
-                           help="record wall time in the CSV (output no longer reproducible)")
-        p_sim.add_argument("--threads", type=int, default=None)
+    p_sim = sub.add_parser("simulate", help="run one of the canned experiments")
+    p_sim.add_argument("--experiment", type=int, required=True)
+    p_sim.add_argument("--out", required=True)
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--replicates", type=int, default=None)
+    p_sim.add_argument("--n", type=int, default=None)
+    p_sim.add_argument("--p", type=int, default=None)
+    p_sim.add_argument("--s", type=int, default=None)
+    p_sim.add_argument("--pve", type=float, default=None)
+    p_sim.add_argument("--rho", type=float, default=None)
+    p_sim.add_argument("--coef-dist", default=None)
+    p_sim.add_argument("--noise-dist", default=None)
+    p_sim.add_argument("--grid-size", type=int, default=20)
+    p_sim.add_argument("--max-sweeps", type=int, default=200)
+    p_sim.add_argument("--timing", action="store_true",
+                       help="record wall time in the CSV (output no longer reproducible)")
+    p_sim.add_argument("--threads", type=int, default=None,
+                       help="ignored: replicates run one after another")
 
     p_den = sub.add_parser("denoise", help="denoise a grayscale PGM image")
     p_den.add_argument("--image", required=True)
@@ -145,12 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--truth", help="clean image for RMSE reporting")
     p_den.add_argument("--sigma", type=float, default=None, help="noise standard deviation")
     p_den.add_argument("--sweeps", type=int, default=30)
-    p_den.add_argument("--gh-nodes", type=int, default=32)
     p_den.add_argument("--learn-scales", action="store_true",
                        help="re-learn the Laplace scales every 5 sweeps (see README caveat)")
     p_den.add_argument("--s1", type=float, default=0.45)
     p_den.add_argument("--s2", type=float, default=0.15)
-    p_den.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -254,13 +242,7 @@ def cmd_simulate(args) -> int:
     if args.noise_dist is not None:
         overrides["noise_dist"] = args.noise_dist
     fitter = ash_fitter(n_components=args.grid_size, max_sweeps=args.max_sweeps)
-    rows = run_experiment(
-        args.experiment,
-        overrides=overrides,
-        seed=args.seed,
-        fitter=fitter,
-        threads=_thread_count(args.threads),
-    )
+    rows = run_experiment(args.experiment, overrides=overrides, seed=args.seed, fitter=fitter)
     write_results_csv(rows, args.out, timing=args.timing)
     mean_perf = float(np.mean([row.scaled_perf for row in rows]))
     print(f"rows={len(rows)} mean_scaled_perf={mean_perf!r}")
@@ -271,11 +253,9 @@ def cmd_denoise(args) -> int:
     noisy = read_pgm(args.image)
     config = DenoiseConfig(
         sweeps=args.sweeps,
-        gh_nodes=args.gh_nodes,
         scales=FusedScales(args.s1, args.s2),
         learn_scales=args.learn_scales,
         noise_sd=args.sigma,
-        seed=args.seed,
     )
     denoised = denoise_image(noisy, config)
     write_pgm(args.out, denoised)
@@ -293,7 +273,6 @@ _COMMANDS = {
     "fit": cmd_fit,
     "predict": cmd_predict,
     "simulate": cmd_simulate,
-    "benchmark": cmd_simulate,
     "denoise": cmd_denoise,
 }
 

@@ -137,13 +137,6 @@ def update_beta(ols_estimate: float, b_bar_j: float, omega: float) -> float:
     return omega * ols_estimate + (1.0 - omega) * b_bar_j
 
 
-def partial_residual(state: FitState, j: int, x_j: np.ndarray) -> np.ndarray:
-    """Expected residual with the j-th effect added back: r + x_j * beta_j."""
-    if not 0 <= j < state.beta_bar.size:
-        raise IndexError(f"coordinate {j} out of range")
-    return state.r_bar + x_j * state.beta_bar[j]
-
-
 def coefficient_variance(n: int, sigma2: float, sigma02: float) -> float:
     """Shared conjugate posterior variance of each beta_j: ((n-1)/s2 + 1/s02)^-1."""
     return 1.0 / ((n - 1) / sigma2 + 1.0 / sigma02)

@@ -58,4 +58,4 @@ class NonFiniteGradientError(NashError):
 
 
 class QuadratureUnderflowError(NashError):
-    """All quadrature weights vanished even after widening the node scale."""
+    """The posterior mass vanished in every segment of a piecewise posterior."""

@@ -9,28 +9,21 @@ by a small message-passing network.
 The log prior is piecewise linear, so the posterior against a Gaussian
 observation splits at the factor centers into segments whose masses and
 moments are exact Gaussian tail expressions; the prior's normalizing
-constant is a sum of exact exponential integrals.  The production paths use
-these closed segment forms.  A generic Gauss-Hermite routine, centered on
-the observation, remains for arbitrary log priors; its polynomial nodes
-converge slowly across the kinks of the Laplace factors, which is why the
-fused paths do not rely on it.
+constant is a sum of exact exponential integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import minimize
 from scipy.special import log_ndtr, logsumexp
 
-from .ash import PosteriorStats, PosteriorSummary
+from .ash import PosteriorStats
 from .errors import DimensionMismatchError, ParseError, QuadratureUnderflowError
 
-HALF_LOG_PI = 0.5 * math.log(math.pi)
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -164,7 +157,7 @@ def load_graph_edges_csv(path: str, p: int, kind: str = "general") -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Prior density and quadrature
+# Prior density and exact segment posteriors
 # ---------------------------------------------------------------------------
 
 
@@ -181,35 +174,6 @@ def fused_log_density(b, left_mean: float | None, right_mean: float | None,
     if right_mean is not None:
         out = out - np.abs(b - right_mean) / scales.s2
     return float(out) if out.ndim == 0 else out
-
-
-@lru_cache(maxsize=16)
-def _gh_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes < 8:
-        raise ValueError("need at least 8 quadrature nodes")
-    t, w = hermgauss(nodes)
-    return t, np.log(w)
-
-
-def _gh_integrate(centers: np.ndarray, spread2: np.ndarray, log_f, nodes: int,
-                  widen: float = 1.0):
-    """Quadrature moments of exp(log_f) against N(center, spread2) per row.
-
-    Returns (mean, variance, log integral of N * exp(log_f)).  ``widen``
-    stretches the node layout; the extra t^2 term compensates exactly.
-    """
-    t, log_w = _gh_rule(nodes)
-    centers = np.atleast_1d(np.asarray(centers, dtype=float))
-    spread2 = np.broadcast_to(np.asarray(spread2, dtype=float), centers.shape)
-    scale = widen * np.sqrt(2.0 * spread2)
-    b = centers[:, None] + scale[:, None] * t[None, :]
-    a = log_w[None, :] + (1.0 - widen**2) * t[None, :] ** 2 + log_f(b)
-    log_integral = logsumexp(a, axis=1) + math.log(widen) - HALF_LOG_PI
-    with np.errstate(invalid="ignore"):
-        u = np.exp(a - logsumexp(a, axis=1)[:, None])
-    mean = (u * b).sum(axis=1)
-    variance = (u * (b - mean[:, None]) ** 2).sum(axis=1)
-    return mean, variance, log_integral
 
 
 def _segments(mus: np.ndarray, inv_scales: np.ndarray):
@@ -314,65 +278,6 @@ def _piecewise_posterior(beta_bar: np.ndarray, sigma02: float, mus: np.ndarray,
     return beta_bar + mean_u, variance, log_integral
 
 
-def gh_posterior(beta_bar_j: float, sigma02: float, log_prior, nodes: int = 32,
-                 breakpoints=None) -> PosteriorSummary:
-    """Posterior summary for a Gaussian observation against an arbitrary log prior.
-
-    The posterior is proportional to N(beta_bar_j; b, sigma02) * exp(log_prior(b)).
-    Without ``breakpoints`` the moments come from Gauss-Hermite quadrature with
-    nodes placed at beta_bar_j and scale sqrt(sigma02); if every weight
-    underflows the node layout is widened once before giving up.  Passing the
-    kink locations of a piecewise-linear log prior switches to exact
-    segment-wise Gaussian integration (the quadrature nodes straddle the kinks
-    too coarsely to resolve priors much tighter than the observation noise).
-    """
-    if breakpoints is not None:
-        bps = np.sort(np.asarray(breakpoints, dtype=float))
-        gaps = np.diff(bps)
-        delta = min(1e-3, float(gaps.min()) / 8.0) if gaps.size and gaps.min() > 0 else 1e-3
-        lo = np.concatenate(([-np.inf], bps))
-        hi = np.concatenate((bps, [np.inf]))
-        ref = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi),
-                       np.where(np.isfinite(hi), hi - 1.0, lo + 1.0))
-        values = np.asarray(log_prior(ref), dtype=float)
-        slopes = (np.asarray(log_prior(ref + delta), dtype=float)
-                  - np.asarray(log_prior(ref - delta), dtype=float)) / (2.0 * delta)
-        # centered coordinates: shift the segment description by the observation
-        intercepts = values - slopes * ref + slopes * beta_bar_j
-        mean_u, variance, log_integral = _segment_moments(
-            sigma02,
-            (lo - beta_bar_j)[None, :],
-            (hi - beta_bar_j)[None, :],
-            slopes[None, :],
-            intercepts[None, :],
-        )
-        return PosteriorSummary(
-            mean=float(beta_bar_j + mean_u[0]),
-            variance=float(variance[0]),
-            null_prob=0.0,
-            log_marginal=float(log_integral[0]),
-        )
-
-    def log_f(b):
-        return np.asarray(log_prior(b), dtype=float)
-
-    mean, variance, log_integral = _gh_integrate(
-        np.array([beta_bar_j]), np.array([sigma02]), log_f, nodes
-    )
-    if not np.isfinite(log_integral[0]):
-        mean, variance, log_integral = _gh_integrate(
-            np.array([beta_bar_j]), np.array([sigma02]), log_f, nodes, widen=2.0
-        )
-        if not np.isfinite(log_integral[0]):
-            raise QuadratureUnderflowError("all quadrature weights vanished")
-    return PosteriorSummary(
-        mean=float(mean[0]),
-        variance=float(variance[0]),
-        null_prob=0.0,
-        log_marginal=float(log_integral[0]),
-    )
-
-
 def _prior_factors(neighbor_means: np.ndarray, scales: FusedScales):
     """Effective neighbor factors: isolated nodes fall back to (0, s1)."""
     nbr = np.asarray(neighbor_means, dtype=float)
@@ -419,27 +324,26 @@ def _fused_stats(beta_bar: np.ndarray, sigma02: float, nbr: np.ndarray, s1: floa
 
 
 def fused_posterior_stats(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
-                          scales: FusedScales, nodes: int = 32) -> PosteriorStats:
+                          scales: FusedScales) -> PosteriorStats:
     """Posteriors under the fused prior for all coordinates at once.
 
     Computed by exact segment-wise Gaussian integration (the log prior is
-    piecewise linear); ``nodes`` is accepted for interface compatibility with
-    the generic quadrature path but has no effect here.  ``log_marginal`` is
-    normalized by the prior's exactly integrated mass, so marginal likelihoods
-    are comparable across scale settings.
+    piecewise linear).  ``log_marginal`` is normalized by the prior's exactly
+    integrated mass, so marginal likelihoods are comparable across scale
+    settings.
     """
     nbr, s2_col = _prior_factors(neighbor_means, scales)
     return _fused_stats(beta_bar, sigma02, nbr, scales.s1, s2_col)
 
 
 def fused_log_marginal(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
-                       scales: FusedScales, nodes: int = 32) -> np.ndarray:
+                       scales: FusedScales) -> np.ndarray:
     """Normalized per-coordinate marginal log likelihood under the fused prior."""
-    return fused_posterior_stats(beta_bar, sigma02, neighbor_means, scales, nodes).log_marginal
+    return fused_posterior_stats(beta_bar, sigma02, neighbor_means, scales).log_marginal
 
 
 def learn_scales(beta_bar: np.ndarray, sigma02: float, graph: Graph,
-                 neighbor_means: np.ndarray, nodes: int = 32, grid_size: int = 12,
+                 neighbor_means: np.ndarray, grid_size: int = 12,
                  bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
     """Maximize the summed marginal log likelihood over the two Laplace scales.
 
@@ -451,7 +355,7 @@ def learn_scales(beta_bar: np.ndarray, sigma02: float, graph: Graph,
 
     def objective(s1: float, s2: float) -> float:
         return float(fused_log_marginal(beta_bar, sigma02, neighbor_means,
-                                        FusedScales(s1, s2), nodes).sum())
+                                        FusedScales(s1, s2)).sum())
 
     best = (-np.inf, values[0], values[0])
     for s1 in values:
@@ -479,8 +383,7 @@ def learn_scales(beta_bar: np.ndarray, sigma02: float, graph: Graph,
 
 
 def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
-                  start: FusedScales, nodes: int = 32,
-                  bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
+                  start: FusedScales, bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
     """Local marginal-likelihood polish of the scales, warm-started at ``start``.
 
     Used on re-learns inside iterative drivers: a fresh global grid search can
@@ -494,7 +397,7 @@ def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarr
     def neg_log_objective(x):
         s1, s2 = np.exp(np.clip(x, lo, hi))
         return -float(fused_log_marginal(beta_bar, sigma02, neighbor_means,
-                                         FusedScales(float(s1), float(s2)), nodes).sum())
+                                         FusedScales(float(s1), float(s2))).sum())
 
     start_value = -neg_log_objective(np.log([start.s1, start.s2]))
     polish = minimize(
@@ -547,27 +450,6 @@ class MessageNet:
         return out[:, 0], np.exp(out[:, 1])
 
 
-def neighbor_summary(graph: Graph, b_bar: np.ndarray, j: int, scales: FusedScales,
-                     net: MessageNet | None = None,
-                     features: np.ndarray | None = None) -> tuple[float, float]:
-    """Smoothness anchor and scale for node j.
-
-    Without a network this is the arithmetic mean of the neighbors' latent
-    means with the globally learned scale; isolated nodes fall back to
-    (0, s1).  With a network, both quantities are its per-node outputs.
-    """
-    b_bar = np.asarray(b_bar, dtype=float)
-    if not 0 <= j < graph.p:
-        raise IndexError(f"node {j} out of range")
-    if net is not None:
-        v1, s2 = net.forward(features if features is not None else b_bar[:, None], graph)
-        return float(v1[j]), float(s2[j])
-    nb = graph.neighbors[j]
-    if nb.size == 0:
-        return 0.0, scales.s1
-    return float(b_bar[nb].mean()), scales.s2
-
-
 def _neighbor_matrix(graph: Graph, b_bar: np.ndarray, net: MessageNet | None = None,
                      features: np.ndarray | None = None):
     """Batch neighbor summaries: (p, 2) for chains, (p, 1) otherwise.
@@ -608,12 +490,10 @@ class FusedPrior:
     kind = "fused"
     side_kind = "graph"
 
-    def __init__(self, graph: Graph, scales: FusedScales | None = None, gh_nodes: int = 32,
-                 learn: bool = True, learn_every: int = 1, learn_limit: int | None = 1,
-                 net: MessageNet | None = None, features: np.ndarray | None = None):
+    def __init__(self, graph: Graph, scales: FusedScales | None = None, learn: bool = True,
+                 learn_every: int = 1, learn_limit: int | None = 1, net: MessageNet | None = None, features: np.ndarray | None = None):
         self.graph = graph
         self.scales = scales if scales is not None else FusedScales(0.45, 0.15)
-        self.gh_nodes = gh_nodes
         self.learn = learn
         self.learn_every = learn_every
         # repeated re-learning against self-produced anchors collapses the
@@ -630,16 +510,16 @@ class FusedPrior:
         due = self.learn and s2_vec is None and self._updates % self.learn_every == 0
         if due and (self.learn_limit is None or self._learns < self.learn_limit):
             if self._learns == 0:
-                self.scales = learn_scales(beta_bar, sigma02, self.graph, nbr, nodes=self.gh_nodes)
+                self.scales = learn_scales(beta_bar, sigma02, self.graph, nbr)
             else:
-                self.scales = refine_scales(beta_bar, sigma02, nbr, self.scales, nodes=self.gh_nodes)
+                self.scales = refine_scales(beta_bar, sigma02, nbr, self.scales)
             self._learns += 1
         scales = self.scales
         if s2_vec is not None:
             # per-node scales from the network override the global smoothness scale
             stats = _fused_stats(beta_bar, sigma02, nbr, scales.s1, np.asarray(s2_vec, dtype=float))
         else:
-            stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales, self.gh_nodes)
+            stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales)
         self.b_prev = stats.mean
         self._updates += 1
         return stats
@@ -652,7 +532,6 @@ class FusedPrior:
             "s1": self.scales.s1,
             "s2": self.scales.s2,
             "graph_kind": self.graph.kind,
-            "gh_nodes": self.gh_nodes,
         }
 
 
@@ -664,7 +543,6 @@ class FusedPrior:
 @dataclass
 class DenoiseConfig:
     sweeps: int = 30
-    gh_nodes: int = 32
     scales: FusedScales = FusedScales(0.45, 0.15)
     # marginal-likelihood scale learning is opt-in: against anchors the sweep
     # itself produced, its exact optimum collapses the smoothness scale and
@@ -672,7 +550,6 @@ class DenoiseConfig:
     learn_scales: bool = False
     learn_every: int = 5
     noise_sd: float | None = None
-    seed: int = 0
 
 
 def estimate_noise_sd(image: np.ndarray) -> float:
@@ -722,7 +599,7 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
         s_2 = 1.0 / (1.0 / sigma2 + 1.0 / sigma02)
         beta_bar = omega * y + (1.0 - omega) * b_bar
         nbr, _ = _neighbor_matrix(graph, b_bar)
-        stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales, config.gh_nodes)
+        stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales)
         b_bar = stats.mean
         gap2 = float(np.sum(stats.variance + (beta_bar - b_bar) ** 2))
         t1 = (
@@ -737,10 +614,10 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
         if config.learn_scales and t % config.learn_every == 0:
             nbr_new, _ = _neighbor_matrix(graph, b_bar)
             if first_learn:
-                scales = learn_scales(beta_bar, sigma02, graph, nbr_new, nodes=config.gh_nodes)
+                scales = learn_scales(beta_bar, sigma02, graph, nbr_new)
                 first_learn = False
             else:
-                scales = refine_scales(beta_bar, sigma02, nbr_new, scales, nodes=config.gh_nodes)
+                scales = refine_scales(beta_bar, sigma02, nbr_new, scales)
         # observation-variance refinement is confined to a trust band around
         # the known/estimated level: letting it absorb the cold-start misfit
         # collapses the split variance and freezes the iteration

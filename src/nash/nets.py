@@ -19,7 +19,9 @@ from .ash import (
     LOG_2PI,
     MixtureGrid,
     PosteriorStats,
-    PosteriorSummary,
+    _log_weights,
+    _mixture_stats,
+    _responsibilities,
     default_grid,
     marginal_loglik_matrix,
     mixture_posterior_stats,
@@ -83,7 +85,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class _DenseNet:
-    """Shared plumbing: parameter lists, flattening, finiteness checks."""
+    """Shared plumbing: parameter lists, flattening, input checks."""
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         raise NotImplementedError
@@ -102,6 +104,15 @@ class _DenseNet:
             offset += p.size
         if offset != theta.size:
             raise DimensionMismatchError("flat parameter vector has the wrong length")
+
+    def _check_input(self, D: np.ndarray) -> np.ndarray:
+        """Feature rows as a 2-d array; a single feature vector becomes one row."""
+        D = np.asarray(D, dtype=float)
+        if D.ndim == 1:
+            D = D[None, :]
+        if D.shape[1] != self.n_features:
+            raise DimensionMismatchError(f"expected {self.n_features} features, got {D.shape[1]}")
+        return D
 
 
 class SoftmaxPriorNet(_DenseNet):
@@ -126,15 +137,6 @@ class SoftmaxPriorNet(_DenseNet):
             return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
         return [("w", self.w), ("b", self.b)]
 
-    def _check_input(self, D: np.ndarray) -> np.ndarray:
-        D = np.asarray(D, dtype=float)
-        single = D.ndim == 1
-        if single:
-            D = D[None, :]
-        if D.shape[1] != self.n_features:
-            raise DimensionMismatchError(f"expected {self.n_features} features, got {D.shape[1]}")
-        return D
-
     def _logits(self, D: np.ndarray):
         if self.hidden:
             pre = D @ self.w1 + self.b1
@@ -158,9 +160,8 @@ class SoftmaxPriorNet(_DenseNet):
         D = self._check_input(D)
         z, cache = self._logits(D)
         log_pi = _log_softmax(z)
-        a = log_pi + log_lik
-        obj = float(logsumexp(a, axis=1).sum())
-        gamma = np.exp(a - logsumexp(a, axis=1)[:, None])
+        log_marginal, gamma = _responsibilities(log_pi + log_lik)
+        obj = float(log_marginal.sum())
         g_z = gamma - np.exp(log_pi)
         if self.hidden:
             pre, h = cache
@@ -173,9 +174,17 @@ class SoftmaxPriorNet(_DenseNet):
         return obj, [D.T @ g_z, g_z.sum(axis=0)]
 
 
-def forward_softmax(net: SoftmaxPriorNet, d_j: np.ndarray) -> np.ndarray:
-    """Mixture weights for a single covariate's side information."""
-    return net.forward(np.asarray(d_j, dtype=float))
+def _mdn_logdens(beta_bar, sigma02: float, means, variances):
+    """Per-component log densities of beta_bar under the MDN mixture, and sigma02 + variances.
+
+    Column 0 is the point mass at zero, N(beta_j; 0, sigma02); column k is
+    N(beta_j; mean_jk, sigma02 + variance_jk).
+    """
+    beta_bar = np.asarray(beta_bar, dtype=float)
+    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
+    v = sigma02 + variances
+    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
+    return np.column_stack([c0, ck]), v
 
 
 class MdnPriorNet(_DenseNet):
@@ -208,15 +217,6 @@ class MdnPriorNet(_DenseNet):
             return [("w1", self.w1), ("b1", self.b1)] + heads
         return heads
 
-    def _check_input(self, D: np.ndarray) -> np.ndarray:
-        D = np.asarray(D, dtype=float)
-        single = D.ndim == 1
-        if single:
-            D = D[None, :]
-        if D.shape[1] != self.n_features:
-            raise DimensionMismatchError(f"expected {self.n_features} features, got {D.shape[1]}")
-        return D
-
     def _trunk(self, D: np.ndarray):
         if self.hidden:
             pre = D @ self.w1 + self.b1
@@ -234,16 +234,9 @@ class MdnPriorNet(_DenseNet):
             return weights[0], means[0], variances[0]
         return weights, means, variances
 
-    def _component_logdens(self, beta_bar, sigma02, means, variances):
-        beta_bar = np.asarray(beta_bar, dtype=float)
-        c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
-        v = sigma02 + variances
-        ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
-        return np.column_stack([c0, ck])
-
     def objective(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> float:
         weights, means, variances = self.forward(self._check_input(D))
-        c = self._component_logdens(beta_bar, sigma02, means, variances)
+        c, _ = _mdn_logdens(beta_bar, sigma02, means, variances)
         with np.errstate(divide="ignore"):
             a = np.log(np.maximum(weights, 1e-300)) + c
         return float(logsumexp(a, axis=1).sum())
@@ -257,13 +250,11 @@ class MdnPriorNet(_DenseNet):
         means = h @ self.w_mu + self.b_mu
         log_var = h @ self.w_var + self.b_var
         variances = np.exp(log_var)
-        c = self._component_logdens(beta_bar, sigma02, means, variances)
-        a = log_pi + c
-        obj = float(logsumexp(a, axis=1).sum())
-        gamma = np.exp(a - logsumexp(a, axis=1)[:, None])
+        c, v = _mdn_logdens(beta_bar, sigma02, means, variances)
+        log_marginal, gamma = _responsibilities(log_pi + c)
+        obj = float(log_marginal.sum())
         g_zpi = gamma - np.exp(log_pi)
         gk = gamma[:, 1:]
-        v = sigma02 + variances
         diff = beta_bar[:, None] - means
         g_mu = gk * diff / v
         g_lv = gk * (-0.5 / v + 0.5 * diff**2 / v**2) * variances
@@ -279,11 +270,6 @@ class MdnPriorNet(_DenseNet):
         g_h = g_zpi @ self.w_pi.T + g_mu @ self.w_mu.T + g_lv @ self.w_var.T
         g_h *= pre > 0
         return obj, [D.T @ g_h, g_h.sum(axis=0)] + head_grads
-
-
-def mdn_forward(net: MdnPriorNet, d_j: np.ndarray):
-    """MDN heads for a single covariate: (weights incl. null, means, variances)."""
-    return net.forward(np.asarray(d_j, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +389,13 @@ def mdn_posterior_stats(beta_bar: np.ndarray, sigma02: float, weights: np.ndarra
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     means = np.atleast_2d(np.asarray(means, dtype=float))
     variances = np.atleast_2d(np.asarray(variances, dtype=float))
-    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
-    v = sigma02 + variances
-    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
-    with np.errstate(divide="ignore"):
-        a = np.log(np.maximum(weights, 1e-300)) + np.column_stack([c0, ck])
-    a[weights == 0.0] = -np.inf
-    log_marginal = logsumexp(a, axis=1)
-    gamma = np.exp(a - log_marginal[:, None])
+    c, v = _mdn_logdens(beta_bar, sigma02, means, variances)
+    # conjugate posterior of each Gaussian component; the point mass stays at zero
+    zero = np.zeros_like(beta_bar)
     post_mean_k = (beta_bar[:, None] * variances + means * sigma02) / v
     post_var_k = variances * sigma02 / v
-    comp_mean = np.column_stack([np.zeros_like(beta_bar), post_mean_k])
-    comp_var = np.column_stack([np.zeros_like(beta_bar), post_var_k])
-    mean = (gamma * comp_mean).sum(axis=1)
-    second = (gamma * (comp_var + comp_mean**2)).sum(axis=1)
-    return PosteriorStats(
-        mean=mean,
-        variance=np.maximum(second - mean**2, 0.0),
-        null_prob=gamma[:, 0],
-        log_marginal=log_marginal,
-    )
-
-
-def mdn_posterior(beta_bar_j: float, sigma02: float, weights: np.ndarray,
-                  means: np.ndarray, variances: np.ndarray) -> PosteriorSummary:
-    """Posterior summary of one coordinate under its MDN components."""
-    stats = mdn_posterior_stats(
-        np.array([beta_bar_j]), sigma02, weights[None, :], means[None, :], variances[None, :]
-    )
-    return stats.summary(0)
+    return _mixture_stats(_log_weights(weights) + c, np.column_stack([zero, post_mean_k]),
+                          np.column_stack([zero, post_var_k]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,13 @@
 Seven canned experiments each vary one generative knob (sparsity, sample
 size, signal fraction, coefficient law, dimension, noise law, predictor
 correlation) around a common default setting, at desk scale.  Every draw is
-a pure function of an integer seed, so replicates are reproducible and safe
-to run concurrently.
+a pure function of an integer seed, so replicates are reproducible.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +37,8 @@ class SimulationConfig:
     test_fraction: float = 0.2
 
     def __post_init__(self):
+        if self.replicates < 1:
+            raise ConfigError(f"need at least one replicate, got {self.replicates}")
         if not 0 <= self.s <= self.p:
             raise ConfigError(f"need 0 <= s <= p, got s={self.s}, p={self.p}")
         if not 0.0 <= self.pve < 1.0:
@@ -248,11 +248,11 @@ def run_replicate(config: SimulationConfig, fitter, seed: int) -> tuple[float, f
 
 
 def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0,
-                   fitter=None, threads: int = 1) -> list[SimRow]:
+                   fitter=None) -> list[SimRow]:
     """Run every setting of one experiment for the configured replicate count.
 
-    Replicates carry independent derived seeds and may execute on a thread
-    pool; rows come back in deterministic (setting, replicate) order either way.
+    Replicates carry independent derived seeds; rows come back in
+    (setting, replicate) order.
     """
     overrides = dict(overrides or {})
     if "s" not in overrides and "p" in overrides:
@@ -261,32 +261,22 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
     base = replace(EXPERIMENT_DEFAULTS, seed=seed, **overrides)
     if fitter is None:
         fitter = ash_fitter()
-    grid = experiment_grid(experiment, base)
-    jobs = []
-    for si, (label, config) in enumerate(grid):
+    rows = []
+    for si, (label, config) in enumerate(experiment_grid(experiment, base)):
         for rep in range(config.replicates):
-            jobs.append((si, label, config, rep, _replicate_seed(seed, experiment, si, rep)))
-
-    def work(job):
-        _, label, config, rep, rep_seed = job
-        test_perf, train_perf, pi0, seconds, method = run_replicate(config, fitter, rep_seed)
-        return SimRow(
-            experiment=experiment,
-            setting=label,
-            replicate=rep,
-            seed=rep_seed,
-            method=method,
-            scaled_perf=test_perf,
-            seconds=seconds,
-            train_perf=train_perf,
-            pi0=pi0,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, jobs))
-    else:
-        rows = [work(job) for job in jobs]
+            rep_seed = _replicate_seed(seed, experiment, si, rep)
+            test_perf, train_perf, pi0, seconds, method = run_replicate(config, fitter, rep_seed)
+            rows.append(SimRow(
+                experiment=experiment,
+                setting=label,
+                replicate=rep,
+                seed=rep_seed,
+                method=method,
+                scaled_perf=test_perf,
+                seconds=seconds,
+                train_perf=train_perf,
+                pi0=pi0,
+            ))
     return rows
 
 

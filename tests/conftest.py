@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 
 def piecewise_image(seed: int, size: int = 28) -> np.ndarray:
@@ -33,22 +32,24 @@ def simplex_grid_best(log_lik: np.ndarray, step: float = 0.01) -> float:
     """Brute-force maximum of the mixture marginal likelihood over a gridded simplex.
 
     Enumerates every composition of 1/step into M parts and evaluates the
-    objective in vectorized chunks.
+    objective in likelihood space, sum_j log(sum_m pi_m exp(L_jm - max_m L_jm))
+    plus the row maxima, in vectorized chunks.
     """
     m = log_lik.shape[1]
     k = round(1.0 / step)
-    compositions = []
-    for cuts in itertools.combinations(range(k + m - 1), m - 1):
-        counts = np.diff((-1,) + cuts + (k + m - 1,)) - 1
-        compositions.append(counts)
-    grid = np.asarray(compositions, dtype=float) / k
+    cuts = np.fromiter(
+        itertools.combinations(range(k + m - 1), m - 1), dtype=np.dtype((int, m - 1))
+    )
+    bounds = np.column_stack([np.full(cuts.shape[0], -1), cuts, np.full(cuts.shape[0], k + m - 1)])
+    grid = (np.diff(bounds, axis=1) - 1) / k
+    rowmax = log_lik.max(axis=1)
+    lik = np.exp(log_lik - rowmax[:, None])
     best = -np.inf
     with np.errstate(divide="ignore"):
-        log_grid = np.log(grid)
-    for lo in range(0, grid.shape[0], 4096):
-        block = log_grid[lo:lo + 4096]
-        values = logsumexp(log_lik[None, :, :] + block[:, None, :], axis=2).sum(axis=1)
-        best = max(best, float(values.max()))
+        for lo in range(0, grid.shape[0], 4096):
+            block = grid[lo:lo + 4096]
+            values = np.log(block @ lik.T).sum(axis=1) + rowmax.sum()
+            best = max(best, float(values.max()))
     return best
 
 

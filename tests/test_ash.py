@@ -9,7 +9,6 @@ from nash.ash import (
     AshPrior,
     MixtureGrid,
     MixtureWeights,
-    cebnm_solve,
     default_grid,
     fit_weights_em,
     marginal_loglik_matrix,
@@ -271,35 +270,37 @@ class TestPosteriorSummary:
 
 
 class TestCebnmSolve:
+    """The normal-means solve of the shared prior, run end to end by ``AshPrior.update``."""
+
     def test_null_data_concentrates_on_null(self):
-        params, summaries = cebnm_solve(np.zeros(30), 1.0, n_components=6)
-        assert all(s.null_prob >= 0.5 for s in summaries)
-        assert all(s.mean == pytest.approx(0.0, abs=1e-12) for s in summaries)
+        stats = AshPrior(n_components=6).update(np.zeros(30), 1.0)
+        assert np.all(stats.null_prob >= 0.5)
+        np.testing.assert_allclose(stats.mean, 0.0, atol=1e-12)
 
     def test_huge_estimate_barely_shrunk(self):
         beta = np.zeros(20)
         beta[7] = 100.0
-        params, summaries = cebnm_solve(beta, 1.0, n_components=10)
-        assert summaries[7].mean > 90.0
+        stats = AshPrior(n_components=10).update(beta, 1.0)
+        assert stats.mean[7] > 90.0
 
     def test_permutation_equivariance(self, rng):
         beta = rng.normal(0, 2, size=12)
         grid = default_grid(beta, 0.5, 8)
-        params, summaries = cebnm_solve(beta, 0.5, grid=grid)
+        prior = AshPrior(grid=grid)
+        stats = prior.update(beta, 0.5)
         perm = rng.permutation(12)
-        params_p, summaries_p = cebnm_solve(beta[perm], 0.5, grid=grid)
-        np.testing.assert_allclose(params_p["weights"], params["weights"], atol=1e-12)
-        for k, j in enumerate(perm):
-            assert summaries_p[k].mean == pytest.approx(summaries[j].mean, rel=1e-10, abs=1e-14)
+        prior_p = AshPrior(grid=grid)
+        stats_p = prior_p.update(beta[perm], 0.5)
+        np.testing.assert_allclose(prior_p.weights.pi, prior.weights.pi, atol=1e-12)
+        np.testing.assert_allclose(stats_p.mean, stats.mean[perm], rtol=1e-10, atol=1e-14)
 
     def test_log_marginal_sums_to_em_objective(self, rng):
         beta = rng.normal(0, 1, size=25)
-        params, summaries = cebnm_solve(beta, 0.4, n_components=5)
-        total = sum(s.log_marginal for s in summaries)
-        grid = MixtureGrid(np.array(params["variances"]))
-        log_lik = marginal_loglik_matrix(beta, 0.4, grid)
-        objective = mixture_objective(log_lik, np.array(params["weights"]))
-        assert total == pytest.approx(objective, rel=1e-12)
+        prior = AshPrior(n_components=5)
+        stats = prior.update(beta, 0.4)
+        log_lik = marginal_loglik_matrix(beta, 0.4, prior.grid)
+        objective = mixture_objective(log_lik, prior.weights.pi)
+        assert float(stats.log_marginal.sum()) == pytest.approx(objective, rel=1e-12)
 
 
 class TestAshPrior:

@@ -184,12 +184,13 @@ class TestPredictCommand:
 
 class TestSimulateCommand:
     def test_row_count_and_determinism(self, tmp_path):
+        # --threads is accepted and ignored: the output does not depend on it
         args = ["simulate", "--experiment", "3", "--replicates", "1", "--n", "30",
                 "--p", "5", "--seed", "2"]
         outputs = []
-        for run in range(2):
-            out = tmp_path / f"r{run}.csv"
-            assert main(args + ["--out", str(out)]) == 0
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.csv"
+            assert main(args + ["--threads", threads, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         lines = outputs[0].decode().splitlines()
@@ -199,11 +200,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--experiment", "9", "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_benchmark_alias(self, tmp_path):
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_replicates_below_one_rejected(self, tmp_path, capsys, replicates):
         out = tmp_path / "r.csv"
-        assert main(["benchmark", "--experiment", "3", "--replicates", "1", "--n", "30",
-                     "--p", "5", "--out", str(out)]) == 0
-        assert out.exists()
+        assert main(["simulate", "--experiment", "3", "--replicates", replicates,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestDenoiseCommand:
@@ -239,7 +243,7 @@ class TestDenoiseCommand:
 
 
 class TestUsage:
-    @pytest.mark.parametrize("command", ["fit", "predict", "simulate", "benchmark", "denoise"])
+    @pytest.mark.parametrize("command", ["fit", "predict", "simulate", "denoise"])
     def test_help_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--help"])
@@ -253,16 +257,6 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
-
-
-class TestThreads:
-    def test_env_fallback_for_thread_count(self, monkeypatch):
-        from nash.cli import _thread_count
-        monkeypatch.setenv("NASH_THREADS", "3")
-        assert _thread_count(None) == 3
-        assert _thread_count(2) == 2
-        monkeypatch.delenv("NASH_THREADS")
-        assert _thread_count(None) >= 1
 
 
 class TestTimedSmoke:

@@ -20,7 +20,6 @@ from nash.engine import (
     elbo_terms,
     fit,
     init_state,
-    partial_residual,
     predict,
     sweep,
     update_beta,
@@ -91,37 +90,49 @@ class TestScalarOps:
 
 
 class TestPartialResidual:
+    """The pass regresses each column on its partial residual r + x_j beta_j.
+
+    With omega = 0 and b_bar = beta_bar no coefficient moves, so every
+    ``beta_mle[j]`` is that regression at the starting coefficients.
+    """
+
+    @staticmethod
+    def _held_pass(design, beta):
+        state = init_state(design, FitConfig())
+        state.beta_bar = np.array(beta, dtype=float)
+        state.b_bar = state.beta_bar.copy()
+        state.r_bar = design.ys - design.Xs @ state.beta_bar
+        state.omega = 0.0
+        _coordinate_pass(state, design)
+        np.testing.assert_array_equal(state.beta_bar, beta)
+        return state
+
     def test_zero_effect_returns_residual(self):
         design = make_design()
-        state = init_state(design, FitConfig())
-        out = partial_residual(state, 2, design.Xs[:, 2])
-        np.testing.assert_array_equal(out, state.r_bar)
+        beta = np.zeros(design.p)
+        beta[[0, 4]] = [0.8, -0.3]
+        state = self._held_pass(design, beta)
+        r = design.ys - design.Xs @ beta
+        assert state.beta_mle[2] == pytest.approx(float(design.Xs[:, 2] @ r) / (design.n - 1), abs=1e-12)
 
     def test_single_predictor_recovers_response(self):
         design = make_design(p=1)
-        state = init_state(design, FitConfig())
-        state.beta_bar[0] = 0.7
-        state.r_bar = design.ys - design.Xs @ state.beta_bar
-        np.testing.assert_allclose(partial_residual(state, 0, design.Xs[:, 0]), design.ys, atol=1e-12)
+        state = self._held_pass(design, [0.7])
+        expected = float(design.Xs[:, 0] @ design.ys) / (design.n - 1)
+        assert state.beta_mle[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_direct_summation(self, rng):
-        # oracle: ys - sum_{j' != j} x_j' beta_j'
+        # oracle: regress x_j on ys - sum_{j' != j} x_j' beta_j'
         design = make_design(seed=5, n=25, p=7)
-        state = init_state(design, FitConfig())
-        state.beta_bar = rng.standard_normal(7)
-        state.r_bar = design.ys - design.Xs @ state.beta_bar
+        beta = rng.standard_normal(7)
+        state = self._held_pass(design, beta)
         for j in range(7):
             direct = design.ys.copy()
             for k in range(7):
                 if k != j:
-                    direct -= design.Xs[:, k] * state.beta_bar[k]
-            np.testing.assert_allclose(partial_residual(state, j, design.Xs[:, j]), direct, atol=1e-10)
-
-    def test_index_out_of_range(self):
-        design = make_design()
-        state = init_state(design, FitConfig())
-        with pytest.raises(IndexError):
-            partial_residual(state, 99, design.Xs[:, 0])
+                    direct -= design.Xs[:, k] * beta[k]
+            x_j = design.Xs[:, j]
+            assert state.beta_mle[j] == pytest.approx(float(x_j @ direct) / float(x_j @ x_j), abs=1e-10)
 
 
 def textbook_coordinate_pass(state, design):

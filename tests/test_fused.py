@@ -1,10 +1,9 @@
-"""Tests for graph priors, exact/quadrature posteriors, scale learning, denoising."""
+"""Tests for graph priors, exact segment posteriors, scale learning, denoising."""
 
 import numpy as np
 import pytest
 
 from conftest import piecewise_image
-from nash.errors import QuadratureUnderflowError
 from nash.fused import (
     DenoiseConfig,
     FusedPrior,
@@ -17,9 +16,7 @@ from nash.fused import (
     fused_log_density,
     fused_log_marginal,
     fused_posterior_stats,
-    gh_posterior,
     learn_scales,
-    neighbor_summary,
     refine_scales,
     rmse,
 )
@@ -124,40 +121,6 @@ class TestFusedLogDensity:
         )
 
 
-class TestGhPosterior:
-    def test_flat_prior_is_exact(self):
-        summary = gh_posterior(1.3, 0.6, lambda b: np.zeros_like(np.asarray(b, float)), 32)
-        assert summary.mean == pytest.approx(1.3, abs=1e-10)
-        assert summary.variance == pytest.approx(0.6, abs=1e-10)
-        assert summary.log_marginal == pytest.approx(0.0, abs=1e-10)
-
-    def test_odd_symmetry_zero_mean(self):
-        scales = FusedScales(0.5, 0.5)
-        summary = gh_posterior(0.0, 0.4, lambda b: fused_log_density(b, 0.0, 0.0, scales), 32)
-        assert summary.mean == pytest.approx(0.0, abs=1e-12)
-
-    def test_node_refinement_shrinks_oracle_gap(self):
-        scales = FusedScales(0.45, 0.15)
-        log_prior = lambda b: fused_log_density(b, 0.8, 1.2, scales)
-        mean, _, _ = oracle_moments(1.0, 0.25, log_prior)
-        gaps = [abs(gh_posterior(1.0, 0.25, log_prior, nodes).mean - mean)
-                for nodes in (16, 32, 64)]
-        assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_breakpoints_give_oracle_accuracy(self):
-        # documented configuration: kinked prior tighter than the observation
-        scales = FusedScales(0.45, 0.15)
-        log_prior = lambda b: fused_log_density(b, 0.8, 1.2, scales)
-        mean, variance, _ = oracle_moments(1.0, 0.25, log_prior)
-        summary = gh_posterior(1.0, 0.25, log_prior, 32, breakpoints=[0.0, 0.8, 1.2])
-        assert summary.mean == pytest.approx(mean, rel=1e-4)
-        assert summary.variance == pytest.approx(variance, rel=1e-4)
-
-    def test_underflow_reported(self):
-        with pytest.raises(QuadratureUnderflowError):
-            gh_posterior(0.0, 1.0, lambda b: np.full_like(np.asarray(b, float), -np.inf), 32)
-
-
 class TestFusedPosteriorStats:
     def test_matches_dense_oracle_random_configs(self, rng):
         for _ in range(40):
@@ -252,22 +215,29 @@ class TestLearnScales:
 
 class TestNeighborSummary:
     def test_chain_interior_mean(self):
+        # a chain keeps each neighbor as its own factor
         graph = Graph.chain(3)
         b = np.array([1.0, 9.0, 3.0])
-        v1, s2 = neighbor_summary(graph, b, 1, FusedScales(0.5, 0.2))
-        assert v1 == pytest.approx(2.0)
-        assert s2 == 0.2
+        nbr, s2 = _neighbor_matrix(graph, b)
+        np.testing.assert_array_equal(nbr[1], [1.0, 3.0])
+        assert s2 is None
+        np.testing.assert_array_equal(np.isnan(nbr[[0, 2]]), [[True, False], [False, True]])
 
     def test_isolated_fallback(self):
+        # an isolated node has no neighbor factor; the prior falls back to (0, s1)
         graph = Graph.from_edges(2, [])
-        v1, s2 = neighbor_summary(graph, np.array([1.0, 2.0]), 0, FusedScales(0.5, 0.2))
-        assert (v1, s2) == (0.0, 0.5)
+        nbr, s2 = _neighbor_matrix(graph, np.array([1.0, 2.0]))
+        assert nbr.shape == (2, 1) and np.isnan(nbr).all() and s2 is None
+        scales = FusedScales(0.5, 0.2)
+        stats = fused_posterior_stats(np.array([0.7, 0.7]), 0.3, nbr, scales)
+        fallback = fused_posterior_stats(np.array([0.7]), 0.3, np.array([[0.0]]), FusedScales(0.5, 0.5))
+        np.testing.assert_array_equal(stats.mean, np.repeat(fallback.mean, 2))
 
     def test_grid_corner_uses_exactly_two_neighbors(self):
         graph = Graph.grid4(3, 3)
         b = np.arange(9.0)
-        v1, _ = neighbor_summary(graph, b, 0, FusedScales(1.0, 1.0))
-        assert v1 == pytest.approx((b[1] + b[3]) / 2.0)
+        nbr, _ = _neighbor_matrix(graph, b)
+        assert nbr[0, 0] == pytest.approx((b[1] + b[3]) / 2.0)
 
 
 class TestMessageNet:
@@ -293,9 +263,9 @@ class TestMessageNet:
         net = MessageNet(n_features=1, hidden=4, seed=1)
         b = rng.standard_normal(5)
         v1_all, s2_all = net.forward(b[:, None], graph)
-        v1, s2 = neighbor_summary(graph, b, 2, FusedScales(1.0, 1.0), net=net)
-        assert v1 == pytest.approx(v1_all[2])
-        assert s2 == pytest.approx(s2_all[2])
+        nbr, s2 = _neighbor_matrix(graph, b, net=net)
+        np.testing.assert_array_equal(nbr[:, 0], v1_all)
+        np.testing.assert_array_equal(s2, s2_all)
 
 
 class TestFusedPrior:

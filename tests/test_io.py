@@ -7,9 +7,11 @@ import pytest
 
 from conftest import random_regression
 from nash.ash import AshPrior
+from nash.cli import main
 from nash.data import Dataset, SideInfo
 from nash.engine import FitConfig, fit, predict
 from nash.errors import DimensionMismatchError, ParseError
+from nash.fused import FusedPrior, Graph
 from nash.model_io import dumps_canonical, load_model, model_document, predict_from_model, save_model
 from nash.pgm import read_pgm, write_pgm
 
@@ -67,6 +69,27 @@ class TestModelFile:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_model(str(path))
+
+    def test_fused_model_with_quadrature_nodes_still_loads(self, tmp_path):
+        # older fused model files carry a "gh_nodes" prior parameter; they
+        # must still load and predict
+        X, y, _ = random_regression(2, n=30, p=6)
+        graph = Graph.chain(6)
+        result = fit(Dataset(y=y, X=X), SideInfo.from_graph(graph), FusedPrior(graph),
+                     FitConfig(max_sweeps=5))
+        doc = model_document(result)
+        assert "gh_nodes" not in doc["prior"]["params"]
+        doc["prior"]["params"]["gh_nodes"] = 32
+        path = tmp_path / "old.json"
+        path.write_text(dumps_canonical(doc))
+        model = load_model(str(path))
+        assert model.prior_kind == "fused" and model.prior_params["gh_nodes"] == 32
+        x_path = tmp_path / "x.csv"
+        x_path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in X))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(path), "--x", str(x_path), "--out", str(out)]) == 0
+        predictions = np.array([float(line) for line in out.read_text().splitlines()])
+        np.testing.assert_allclose(predictions, predict(result, X), atol=1e-10)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

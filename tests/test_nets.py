@@ -12,9 +12,7 @@ from nash.nets import (
     SoftmaxPrior,
     SoftmaxPriorNet,
     TrainConfig,
-    forward_softmax,
-    mdn_forward,
-    mdn_posterior,
+    mdn_posterior_stats,
     train_mdn,
     train_softmax,
 )
@@ -28,15 +26,15 @@ class TestSoftmaxForward:
     def test_zero_parameters_give_uniform(self):
         net = SoftmaxPriorNet(3, 5, hidden=0, seed=0)
         net.set_flat(np.zeros(net.get_flat().size))
-        out = forward_softmax(net, np.array([0.3, -1.0, 2.0]))
+        out = net.forward(np.array([0.3, -1.0, 2.0]))
         np.testing.assert_allclose(out, np.full(5, 0.2), atol=1e-15)
 
     def test_bias_shift_invariance(self, rng):
         net = SoftmaxPriorNet(2, 4, hidden=0, seed=1)
         d = rng.standard_normal(2)
-        before = forward_softmax(net, d)
+        before = net.forward(d)
         net.b += 3.7
-        np.testing.assert_allclose(forward_softmax(net, d), before, atol=1e-12)
+        np.testing.assert_allclose(net.forward(d), before, atol=1e-12)
 
     def test_one_hot_rows_read_off_columns(self, rng):
         # depth-0 net on one-hot input: output is softmax of that group's
@@ -48,7 +46,7 @@ class TestSoftmaxForward:
             logits = net.w[g] + net.b
             expected = np.exp(logits - logits.max())
             expected /= expected.sum()
-            np.testing.assert_allclose(forward_softmax(net, d), expected, rtol=1e-12)
+            np.testing.assert_allclose(net.forward(d), expected, rtol=1e-12)
 
     def test_simplex_for_arbitrary_parameters(self, rng):
         for hidden in (0, 6):
@@ -120,7 +118,7 @@ class TestSoftmaxTraining:
         log_lik[:40, 2] += 4.0
         net = SoftmaxPriorNet(2, m, hidden=0, seed=21)
         train_softmax(net, D, log_lik, TrainConfig(learning_rate=0.1, steps=1500, seed=21))
-        weights_a = forward_softmax(net, np.array([1.0, 0.0]))
+        weights_a = net.forward(np.array([1.0, 0.0]))
         assert weights_a[2] > 0.9
 
     def test_per_group_weights_match_per_group_em(self):
@@ -138,7 +136,7 @@ class TestSoftmaxTraining:
         for g in range(3):
             em = fit_weights_em(log_lik[groups == g], MixtureWeights.uniform(m),
                                 max_iter=5000, tol=1e-13)
-            fitted = forward_softmax(net, np.eye(3)[g])
+            fitted = net.forward(np.eye(3)[g])
             tv_distance = 0.5 * np.abs(fitted - em.pi).sum()
             assert tv_distance < 1e-2
 
@@ -147,7 +145,7 @@ class TestMdnForward:
     def test_zero_parameters_give_neutral_heads(self):
         net = MdnPriorNet(3, n_components=4, hidden=6, seed=0)
         net.set_flat(np.zeros(net.get_flat().size))
-        weights, means, variances = mdn_forward(net, np.array([1.0, -2.0, 0.5]))
+        weights, means, variances = net.forward(np.array([1.0, -2.0, 0.5]))
         np.testing.assert_allclose(weights, np.full(5, 0.2), atol=1e-15)
         np.testing.assert_array_equal(means, np.zeros(4))
         np.testing.assert_array_equal(variances, np.ones(4))
@@ -155,8 +153,8 @@ class TestMdnForward:
     def test_deterministic(self, rng):
         net = MdnPriorNet(2, n_components=3, hidden=4, seed=9)
         d = rng.standard_normal(2)
-        first = mdn_forward(net, d)
-        second = mdn_forward(net, d)
+        first = net.forward(d)
+        second = net.forward(d)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
@@ -167,15 +165,22 @@ class TestMdnForward:
         np.testing.assert_allclose(weights.sum(axis=1), np.ones(1000), atol=1e-12)
         assert np.all(variances > 0)
 
+    def test_input_length_checked(self):
+        net = MdnPriorNet(3, n_components=2, hidden=4)
+        with pytest.raises(DimensionMismatchError):
+            net.forward(np.ones((2, 5)))
+
 
 class TestMdnPosterior:
     def test_vanishing_component_variance_pins_mean(self):
-        summary = mdn_posterior(0.3, 1.0, np.array([0.0, 1.0]), np.array([2.0]), np.array([0.0]))
+        summary = mdn_posterior_stats(np.array([0.3]), 1.0, np.array([0.0, 1.0]), np.array([2.0]),
+                                      np.array([0.0])).summary(0)
         assert summary.mean == pytest.approx(2.0)
         assert summary.variance == pytest.approx(0.0, abs=1e-15)
 
     def test_observation_at_component_mean_is_fixed(self):
-        summary = mdn_posterior(2.0, 0.7, np.array([0.0, 1.0]), np.array([2.0]), np.array([0.5]))
+        summary = mdn_posterior_stats(np.array([2.0]), 0.7, np.array([0.0, 1.0]), np.array([2.0]),
+                                      np.array([0.5])).summary(0)
         assert summary.mean == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_dense_grid_oracle(self):
@@ -190,13 +195,14 @@ class TestMdnPosterior:
         total = np.trapezoid(joint, grid)
         oracle_mean = np.trapezoid(grid * joint, grid) / total
         oracle_second = np.trapezoid(grid**2 * joint, grid) / total
-        summary = mdn_posterior(beta, sigma02, weights, means, variances)
+        summary = mdn_posterior_stats(np.array([beta]), sigma02, weights, means, variances).summary(0)
         assert summary.mean == pytest.approx(oracle_mean, abs=1e-6)
         assert summary.variance == pytest.approx(oracle_second - oracle_mean**2, abs=1e-6)
         assert summary.log_marginal == pytest.approx(np.log(total), abs=1e-6)
 
     def test_null_probability_from_point_mass(self):
-        summary = mdn_posterior(0.0, 1.0, np.array([0.5, 0.5]), np.array([3.0]), np.array([0.25]))
+        summary = mdn_posterior_stats(np.array([0.0]), 1.0, np.array([0.5, 0.5]), np.array([3.0]),
+                                      np.array([0.25])).summary(0)
         w0 = 0.5 * normal_pdf(0.0, 0.0, 1.0)
         w1 = 0.5 * normal_pdf(0.0, 3.0, 1.25)
         assert summary.null_prob == pytest.approx(w0 / (w0 + w1), rel=1e-10)

@@ -209,13 +209,6 @@ class TestRunExperiment:
         assert [(r.seed, r.scaled_perf, r.train_perf) for r in a] == \
                [(r.seed, r.scaled_perf, r.train_perf) for r in b]
 
-    def test_thread_count_does_not_change_results(self):
-        kwargs = dict(overrides={"n": 25, "p": 4, "replicates": 4}, seed=7, fitter=mean_fitter())
-        serial = run_experiment(3, **kwargs, threads=1)
-        threaded = run_experiment(3, **kwargs, threads=4)
-        assert [(r.setting, r.replicate, r.scaled_perf) for r in serial] == \
-               [(r.setting, r.replicate, r.scaled_perf) for r in threaded]
-
     def test_csv_layout_and_default_determinism(self, tmp_path):
         rows = run_experiment(3, overrides={"n": 25, "p": 4, "replicates": 2},
                               seed=1, fitter=mean_fitter())
@@ -237,3 +230,10 @@ class TestConfigValidation:
     def test_pve_range(self):
         with pytest.raises(ConfigError):
             SimulationConfig(pve=1.0)
+
+    @pytest.mark.parametrize("replicates", [0, -2])
+    def test_replicates_at_least_one(self, replicates):
+        with pytest.raises(ConfigError):
+            SimulationConfig(replicates=replicates)
+        with pytest.raises(ConfigError):
+            run_experiment(3, overrides={"replicates": replicates}, fitter=mean_fitter())
