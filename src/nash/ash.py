@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .errors import ConfigError
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -174,9 +176,20 @@ def fit_weights_em(
 
 
 def _responsibilities(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log normalisers and responsibilities of ``a`` = log-likelihood + log-weights."""
-    log_marginal = logsumexp(a, axis=1)
-    return log_marginal, np.exp(a - log_marginal[:, None])
+    """Row log normalisers and responsibilities of ``a`` = log-likelihood + log-weights.
+
+    One ``exp`` per entry: with ``rowmax`` each row's largest entry,
+    ``e = exp(a - rowmax)`` and ``s = e.sum(1)``, the responsibilities are
+    ``e / s`` and the log normalisers ``log s + rowmax``.  ``-inf`` entries
+    (zero weights) get responsibility 0; every row needs one finite entry.
+    Applied to logits it is the softmax and its log normaliser.
+    """
+    rowmax = a.max(axis=1, keepdims=True)
+    e = a - rowmax
+    np.exp(e, out=e)
+    s = e.sum(axis=1, keepdims=True)
+    e /= s
+    return np.log(s[:, 0]) + rowmax[:, 0], e
 
 
 def _mixture_stats(a: np.ndarray, comp_mean: np.ndarray, comp_var: np.ndarray) -> PosteriorStats:
@@ -244,6 +257,8 @@ class AshPrior:
         em_max_iter: int = 1000,
         em_tol: float = 1e-8,
     ):
+        if grid is None and n_components < 2:
+            raise ConfigError(f"need at least two mixture components, got {n_components}")
         self.n_components = n_components if grid is None else grid.n_components
         self.grid = grid
         self.weights: MixtureWeights | None = None

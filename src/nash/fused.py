@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr, logsumexp
 
 from .ash import PosteriorStats
-from .errors import DimensionMismatchError, ParseError, QuadratureUnderflowError
+from .errors import ConfigError, DimensionMismatchError, ParseError, QuadratureUnderflowError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -550,6 +550,12 @@ class DenoiseConfig:
     learn_scales: bool = False
     learn_every: int = 5
     noise_sd: float | None = None
+
+    def __post_init__(self):
+        if self.sweeps < 1:
+            raise ConfigError(f"need at least one sweep, got {self.sweeps}")
+        if self.learn_every < 1:
+            raise ConfigError(f"learn_every must be at least 1, got {self.learn_every}")
 
 
 def estimate_noise_sd(image: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .ash import (
     LOG_2PI,
@@ -45,6 +44,8 @@ class TrainConfig:
             raise ConfigError("training hyperparameters must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ConfigError("Adam moment decays must lie in (0, 1)")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 class Adam:
@@ -77,11 +78,11 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    return z - logsumexp(z, axis=1)[:, None]
+    return z - _responsibilities(z)[0][:, None]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
+    return _responsibilities(z)[1]
 
 
 class _DenseNet:
@@ -154,15 +155,15 @@ class SoftmaxPriorNet(_DenseNet):
     def objective(self, D: np.ndarray, log_lik: np.ndarray) -> float:
         """Marginal log likelihood sum_j log sum_m pi_m(d_j) exp(L_jm)."""
         z, _ = self._logits(self._check_input(D))
-        return float(logsumexp(_log_softmax(z) + log_lik, axis=1).sum())
+        return float(_responsibilities(_log_softmax(z) + log_lik)[0].sum())
 
     def objective_and_gradients(self, D: np.ndarray, log_lik: np.ndarray):
         D = self._check_input(D)
         z, cache = self._logits(D)
-        log_pi = _log_softmax(z)
-        log_marginal, gamma = _responsibilities(log_pi + log_lik)
+        log_norm, pi = _responsibilities(z)
+        log_marginal, gamma = _responsibilities(z - log_norm[:, None] + log_lik)
         obj = float(log_marginal.sum())
-        g_z = gamma - np.exp(log_pi)
+        g_z = gamma - pi
         if self.hidden:
             pre, h = cache
             g_w2 = h.T @ g_z
@@ -234,26 +235,32 @@ class MdnPriorNet(_DenseNet):
             return weights[0], means[0], variances[0]
         return weights, means, variances
 
+    def _log_joint(self, h: np.ndarray, beta_bar: np.ndarray, sigma02: float):
+        """Log weight plus log density per row and component, from trunk outputs ``h``.
+
+        Also returns the weights, means, variances and ``sigma02 + variances``.
+        """
+        z_pi = h @ self.w_pi + self.b_pi
+        log_norm, pi = _responsibilities(z_pi)
+        means = h @ self.w_mu + self.b_mu
+        variances = np.exp(h @ self.w_var + self.b_var)
+        c, v = _mdn_logdens(beta_bar, sigma02, means, variances)
+        c += z_pi - log_norm[:, None]
+        return c, pi, means, variances, v
+
     def objective(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> float:
-        weights, means, variances = self.forward(self._check_input(D))
-        c, _ = _mdn_logdens(beta_bar, sigma02, means, variances)
-        with np.errstate(divide="ignore"):
-            a = np.log(np.maximum(weights, 1e-300)) + c
-        return float(logsumexp(a, axis=1).sum())
+        h, _ = self._trunk(self._check_input(D))
+        a = self._log_joint(h, np.asarray(beta_bar, dtype=float), sigma02)[0]
+        return float(_responsibilities(a)[0].sum())
 
     def objective_and_gradients(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float):
         D = self._check_input(D)
         beta_bar = np.asarray(beta_bar, dtype=float)
         h, pre = self._trunk(D)
-        z_pi = h @ self.w_pi + self.b_pi
-        log_pi = _log_softmax(z_pi)
-        means = h @ self.w_mu + self.b_mu
-        log_var = h @ self.w_var + self.b_var
-        variances = np.exp(log_var)
-        c, v = _mdn_logdens(beta_bar, sigma02, means, variances)
-        log_marginal, gamma = _responsibilities(log_pi + c)
+        a, pi, means, variances, v = self._log_joint(h, beta_bar, sigma02)
+        log_marginal, gamma = _responsibilities(a)
         obj = float(log_marginal.sum())
-        g_zpi = gamma - np.exp(log_pi)
+        g_zpi = gamma - pi
         gk = gamma[:, 1:]
         diff = beta_bar[:, None] - means
         g_mu = gk * diff / v
@@ -279,34 +286,45 @@ class MdnPriorNet(_DenseNet):
 
 def _train(net: _DenseNet, eval_obj, eval_grads, n_rows: int, config: TrainConfig,
            steps: int | None = None) -> np.ndarray:
-    """Adam ascent with best-parameter tracking.
+    """Adam ascent with best-parameter tracking; returns the objective trace.
 
     ``eval_obj()`` scores the full objective; ``eval_grads(idx)`` returns the
-    gradient lists for a row subset (None for the full batch).  The best
-    parameter vector seen is restored at the end, so the final objective can
-    never fall below the initial one.
+    objective and gradient lists for a row subset (None for the full batch).
+    A full-batch step costs one forward pass: the objective that comes with
+    the gradients scores the parameters the step starts from, so the trace
+    and the best parameters run one step behind, and ``eval_obj()`` is
+    called once, after the last step.  Minibatch objectives cover only their
+    rows, so that path scores with ``eval_obj()`` once per epoch.  The trace
+    holds the initial objective and one entry per step (full batch) or per
+    epoch; the best parameter vector scored is restored at the end, so the
+    final objective can never fall below the initial one.
     """
     n_steps = steps if steps is not None else config.steps
     full_batch = config.batch_size is None and n_rows <= 4096
     batch_size = config.batch_size if config.batch_size is not None else 1024
     opt = Adam(net.parameters(), config.learning_rate, config.beta1, config.beta2, config.eps)
     rng = np.random.default_rng(config.seed)
-    history = [eval_obj()]
-    best_obj = history[0]
+    history: list[float] = []
+    best_obj = -np.inf
     best_theta = net.get_flat()
+
+    def record(obj: float) -> None:
+        nonlocal best_obj, best_theta
+        history.append(obj)
+        if obj > best_obj:
+            best_obj = obj
+            best_theta = net.get_flat()
+
     step = 0
     while step < n_steps:
         if full_batch:
-            _, grads = eval_grads(None)
+            obj, grads = eval_grads(None)
+            record(obj)
             _check_grads(grads, step)
             opt.step(net.parameters(), grads)
             step += 1
-            obj = eval_obj()
-            history.append(obj)
-            if obj > best_obj:
-                best_obj = obj
-                best_theta = net.get_flat()
         else:
+            record(eval_obj())
             perm = rng.permutation(n_rows)
             for lo in range(0, n_rows, batch_size):
                 if step >= n_steps:
@@ -316,11 +334,7 @@ def _train(net: _DenseNet, eval_obj, eval_grads, n_rows: int, config: TrainConfi
                 _check_grads(grads, step)
                 opt.step(net.parameters(), grads)
                 step += 1
-            obj = eval_obj()
-            history.append(obj)
-            if obj > best_obj:
-                best_obj = obj
-                best_theta = net.get_flat()
+    record(eval_obj())
     net.set_flat(best_theta)
     return np.array(history)
 
@@ -424,6 +438,8 @@ class SoftmaxPrior:
 
     def __init__(self, D: np.ndarray, n_components: int = 20, hidden: int = 0,
                  train_config: TrainConfig | None = None, grid: MixtureGrid | None = None):
+        if grid is None and n_components < 2:
+            raise ConfigError(f"need at least two mixture components, got {n_components}")
         self.D = np.asarray(D, dtype=float)
         self.train_config = train_config if train_config is not None else TrainConfig()
         self.n_components = n_components if grid is None else grid.n_components

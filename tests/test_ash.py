@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from conftest import simplex_grid_best
 from nash.ash import (
     AshPrior,
+    _responsibilities,
     MixtureGrid,
     MixtureWeights,
     default_grid,
@@ -16,6 +17,8 @@ from nash.ash import (
     mixture_posterior_stats,
     posterior_summary,
 )
+from nash.errors import ConfigError
+from nash.nets import _log_softmax
 
 
 def normal_pdf(x, mean, var):
@@ -320,3 +323,53 @@ class TestAshPrior:
         prior.update(beta, 0.5)
         after = mixture_objective(log_lik, prior.weights.pi)
         assert after >= before - 1e-10
+
+    def test_fewer_than_two_components_rejected(self):
+        with pytest.raises(ConfigError):
+            AshPrior(n_components=1)
+
+
+def kernel_cases():
+    """Log-weight matrices that stress a max-shift kernel."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(0, 3, size=(40, 7))
+    with_zero_weights = a.copy()
+    with_zero_weights[:, [0, 4]] = -np.inf  # log of a zero weight
+    with_zero_weights[3, [1, 3, 5, 6]] = -np.inf  # a row with one finite entry
+    return {
+        "plain": a,
+        "minus_inf": with_zero_weights,
+        "offset_plus_1e3": a + 1e3,
+        "offset_minus_1e3": a - 1e3,
+        "row_offsets_1e3": a + rng.choice([-1e3, 1e3], size=(40, 1)),
+        "single_column": a[:, :1],
+    }
+
+
+class TestResponsibilitiesKernel:
+    """``_responsibilities`` and the nets' log-softmax against ``scipy.special.logsumexp``."""
+
+    @pytest.mark.parametrize("case", sorted(kernel_cases()))
+    def test_matches_logsumexp_oracle(self, case):
+        a = kernel_cases()[case]
+        expected_norm = logsumexp(a, axis=1)
+        log_marginal, gamma = _responsibilities(a)
+        np.testing.assert_allclose(log_marginal, expected_norm, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gamma, np.exp(a - expected_norm[:, None]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(gamma[np.isneginf(a)] == 0.0)
+
+    @pytest.mark.parametrize("case", sorted(kernel_cases()))
+    def test_log_softmax_matches_logsumexp_oracle(self, case):
+        a = kernel_cases()[case]
+        expected = a - logsumexp(a, axis=1)[:, None]
+        got = _log_softmax(a)
+        finite = np.isfinite(expected)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=1e-12)
+
+    def test_input_not_modified(self):
+        a = kernel_cases()["minus_inf"]
+        before = a.copy()
+        _responsibilities(a)
+        np.testing.assert_array_equal(a, before)

@@ -140,6 +140,16 @@ class TestFitCommand:
         assert "has 8 rows but the design has 12 columns" in capsys.readouterr().err
 
 
+    def test_grid_size_below_two_rejected(self, regression_files, tmp_path, capsys):
+        _, _, x_path, y_path = regression_files
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--grid-size", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestPredictCommand:
     def test_training_rows_match_fitted_values(self, regression_files, tmp_path):
         X, y, x_path, y_path = regression_files
@@ -210,6 +220,15 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    def test_grid_size_below_two_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--experiment", "3", "--replicates", "1", "--n", "30",
+                     "--p", "5", "--grid-size", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestDenoiseCommand:
     def test_constant_image_unchanged(self, tmp_path):
         image = np.full((10, 12), 0.5)
@@ -234,6 +253,15 @@ class TestDenoiseCommand:
         assert "rmse_noisy=" in stdout and "rmse_denoised=" in stdout
         values = dict(part.split("=") for part in stdout.split())
         assert float(values["rmse_denoised"]) < float(values["rmse_noisy"])
+
+    def test_sweeps_below_one_rejected(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(str(src), piecewise_image(2, size=12))
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--image", str(src), "--out", str(out), "--sweeps", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_non_pgm_rejected(self, tmp_path, capsys):
         bad = tmp_path / "img.pgm"

@@ -331,6 +331,13 @@ class TestDenoise:
         assert all(b >= a - 1e-8 for a, b in zip(elbo, elbo[1:]))
         assert all(b <= a + 1e-8 for a, b in zip(data_term, data_term[1:]))
 
+    @pytest.mark.parametrize("field", ["sweeps", "learn_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_counts_below_one_rejected(self, field, value):
+        from nash.errors import ConfigError
+        with pytest.raises(ConfigError):
+            DenoiseConfig(learn_scales=True, **{field: value})
+
     def test_rejects_non_matrix(self):
         from nash.errors import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import finite_difference_gradient, gradient_relative_error
 from nash.ash import MixtureWeights, fit_weights_em, mixture_objective
-from nash.errors import DimensionMismatchError
+from nash.errors import ConfigError, DimensionMismatchError
 from nash.nets import (
+    Adam,
     MdnPrior,
     MdnPriorNet,
     SoftmaxPrior,
@@ -20,6 +21,40 @@ from nash.nets import (
 
 def normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
+
+
+def two_pass_reference(net, eval_obj, eval_grads, config):
+    """Full-batch Adam that scores the parameters again after every step.
+
+    The loop ``nets._train`` ran before it reused the objective returned with
+    the gradients; returns the objective trace and restores the best
+    parameters scored, as ``_train`` does.
+    """
+    opt = Adam(net.parameters(), config.learning_rate, config.beta1, config.beta2, config.eps)
+    history = [eval_obj()]
+    best_obj, best_theta = history[0], net.get_flat()
+    for _ in range(config.steps):
+        _, grads = eval_grads()
+        opt.step(net.parameters(), grads)
+        history.append(eval_obj())
+        if history[-1] > best_obj:
+            best_obj, best_theta = history[-1], net.get_flat()
+    net.set_flat(best_theta)
+    return np.array(history)
+
+
+def count_forward_calls(net):
+    """Wrap the net's two objective methods; returns the dict of call counts."""
+    counts = {"objective": 0, "objective_and_gradients": 0}
+    for name in counts:
+        method = getattr(net, name)
+
+        def counted(*args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(*args)
+
+        setattr(net, name, counted)
+    return counts
 
 
 class TestSoftmaxForward:
@@ -139,6 +174,92 @@ class TestSoftmaxTraining:
             fitted = net.forward(np.eye(3)[g])
             tv_distance = 0.5 * np.abs(fitted - em.pi).sum()
             assert tv_distance < 1e-2
+
+
+class TestTrainLoop:
+    """``_train``: one forward pass per full-batch step, best parameters one step behind."""
+
+    def _softmax_problem(self):
+        rng = np.random.default_rng(41)
+        p, m = 60, 6
+        D = np.eye(3)[rng.integers(0, 3, p)]
+        log_lik = rng.normal(0, 1.5, size=(p, m))
+        return D, log_lik
+
+    def test_softmax_history_matches_two_pass_reference(self):
+        D, log_lik = self._softmax_problem()
+        config = TrainConfig(learning_rate=0.05, steps=120, seed=0)
+        net = SoftmaxPriorNet(3, 6, hidden=4, seed=1)
+        reference = SoftmaxPriorNet(3, 6, hidden=4, seed=1)
+        history = train_softmax(net, D, log_lik, config)
+        expected = two_pass_reference(reference, lambda: reference.objective(D, log_lik),
+                                      lambda: reference.objective_and_gradients(D, log_lik), config)
+        assert history.shape == (config.steps + 1,)
+        np.testing.assert_allclose(history, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(net.get_flat(), reference.get_flat(), rtol=0, atol=1e-10)
+
+    def test_mdn_history_matches_two_pass_reference(self):
+        rng = np.random.default_rng(43)
+        D = rng.standard_normal((40, 2))
+        beta_bar = rng.normal(0, 1.5, 40)
+        config = TrainConfig(learning_rate=0.05, steps=80, seed=0)
+        net = MdnPriorNet(2, n_components=3, hidden=5, seed=2)
+        reference = MdnPriorNet(2, n_components=3, hidden=5, seed=2)
+        history = train_mdn(net, D, beta_bar, 0.3, config)
+        expected = two_pass_reference(reference, lambda: reference.objective(D, beta_bar, 0.3),
+                                      lambda: reference.objective_and_gradients(D, beta_bar, 0.3),
+                                      config)
+        np.testing.assert_allclose(history, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(net.get_flat(), reference.get_flat(), rtol=0, atol=1e-10)
+
+    def test_full_batch_runs_one_forward_per_step(self):
+        D, log_lik = self._softmax_problem()
+        net = SoftmaxPriorNet(3, 6, seed=0)
+        counts = count_forward_calls(net)
+        train_softmax(net, D, log_lik, TrainConfig(steps=25, seed=0))
+        assert counts == {"objective": 1, "objective_and_gradients": 25}
+        assert sum(counts.values()) == 25 + 1
+
+    def test_mdn_full_batch_runs_one_forward_per_step(self, rng):
+        net = MdnPriorNet(2, n_components=2, hidden=3, seed=0)
+        counts = count_forward_calls(net)
+        train_mdn(net, rng.standard_normal((20, 2)), rng.normal(0, 1, 20), 0.2,
+                  TrainConfig(steps=15, seed=0))
+        assert counts == {"objective": 1, "objective_and_gradients": 15}
+
+    def test_minibatch_scores_once_per_epoch(self):
+        D, log_lik = self._softmax_problem()  # 60 rows: batches of 25 give 3 steps per epoch
+        net = SoftmaxPriorNet(3, 6, seed=0)
+        counts = count_forward_calls(net)
+        history = train_softmax(net, D, log_lik, TrainConfig(steps=7, batch_size=25, seed=0))
+        epochs = 3  # 3 + 3 + 1 steps
+        assert counts == {"objective": epochs + 1, "objective_and_gradients": 7}
+        assert history.shape == (epochs + 1,)
+
+    @pytest.mark.parametrize("learning_rate,steps,best_step", [(2.0, 2, 0), (1.0, 60, 58)])
+    def test_restores_best_parameters_scored(self, learning_rate, steps, best_step):
+        # learning rates large enough to overshoot: the kept parameters are
+        # the best the trace saw (the start, or one before the last step),
+        # never worse than the start
+        D, log_lik = self._softmax_problem()
+        net = SoftmaxPriorNet(3, 6, hidden=4, seed=3)
+        initial = net.objective(D, log_lik)
+        history = train_softmax(net, D, log_lik,
+                                TrainConfig(learning_rate=learning_rate, steps=steps, seed=0))
+        assert history[0] == initial
+        assert int(np.argmax(history)) == best_step
+        assert net.objective(D, log_lik) == history[best_step] >= initial
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ConfigError):
+            TrainConfig(batch_size=batch_size)
+
+    def test_fewer_than_two_softmax_components_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            SoftmaxPrior(rng.standard_normal((5, 2)), n_components=1)
 
 
 class TestMdnForward:
