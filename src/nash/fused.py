@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import log_ndtr
 
-from .ash import PosteriorStats
+from .ash import PosteriorStats, _responsibilities
 from .errors import ConfigError, DimensionMismatchError, ParseError, QuadratureUnderflowError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -36,77 +35,55 @@ class FusedScales:
 
     def __post_init__(self):
         if not (self.s1 > 0 and math.isfinite(self.s1) and self.s2 > 0 and math.isfinite(self.s2)):
-            raise ValueError("scales must be strictly positive and finite")
+            raise ConfigError(f"Laplace scales must be positive and finite, got {self.s1}, {self.s2}")
 
 
 class Graph:
-    """Undirected graph over covariates, stored as sorted adjacency lists."""
+    """Undirected graph over ``p`` covariates, stored as sorted edge arrays.
 
-    def __init__(self, neighbors: list[np.ndarray], kind: str = "general"):
-        self.kind = kind
-        self.neighbors = [np.sort(np.asarray(nb, dtype=int)) for nb in neighbors]
-        p = len(self.neighbors)
-        for j, nb in enumerate(self.neighbors):
-            if nb.size and (nb.min() < 0 or nb.max() >= p):
-                raise DimensionMismatchError(f"node {j} has a neighbor outside 0..{p - 1}")
-            if np.any(nb == j):
-                raise ValueError(f"node {j} has a self-loop")
-            for k in nb:
-                if j not in self.neighbors[k]:
-                    raise ValueError(f"adjacency is not symmetric between {j} and {k}")
-            if kind == "grid4" and nb.size > 4:
-                raise ValueError(f"grid4 node {j} has {nb.size} > 4 neighbors")
+    ``src`` and ``dst`` hold both directions of every edge, sorted by
+    (src, dst) -- CSR order -- and ``degrees`` counts each node's neighbors.
+    Every builder goes through the one validating constructor, which takes an
+    (E, 2) array of node pairs in either direction, duplicates allowed.
+    """
+
+    def __init__(self, p: int, edges, kind: str = "general"):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        outside = ((edges < 0) | (edges >= p)).any(axis=1)
+        if outside.any():
+            raise DimensionMismatchError(f"edge {tuple(edges[outside][0].tolist())} outside 0..{p - 1}")
+        i, j = edges.T
+        if np.any(i == j):
+            raise ConfigError(f"self-loop on node {i[i == j][0]}")
         self.p = p
-        # flat edge arrays for vectorized neighbor aggregation
-        src = np.repeat(np.arange(p), [nb.size for nb in self.neighbors])
-        dst = np.concatenate(self.neighbors) if p and src.size else np.empty(0, dtype=int)
-        if kind == "chain" and np.any(np.abs(src - dst) != 1):
-            raise ValueError("chain nodes may only link to the next and previous node")
-        self._src = src
-        self._dst = dst
-        self.degrees = np.array([nb.size for nb in self.neighbors])
-        # chain positions i whose link to i+1 is missing (a chain restricted to
-        # some of its nodes falls apart into pieces)
-        linked = np.zeros(max(p - 1, 0), dtype=bool)
-        linked[src[dst == src + 1]] = True
-        self.chain_cuts = np.flatnonzero(~linked)
+        self.kind = kind
+        self.src, self.dst = np.divmod(np.unique(np.concatenate([i * p + j, j * p + i])), p)
+        if kind == "chain" and np.any(np.abs(self.src - self.dst) != 1):
+            raise ConfigError("chain nodes may only link to the next and previous node")
+        self.degrees = np.bincount(self.src, minlength=p)
+        if kind == "grid4" and np.any(self.degrees > 4):
+            raise ConfigError("grid4 nodes may have at most 4 neighbors")
 
     @classmethod
     def chain(cls, p: int) -> "Graph":
-        neighbors = [
-            np.array([j for j in (i - 1, i + 1) if 0 <= j < p], dtype=int) for i in range(p)
-        ]
-        return cls(neighbors, kind="chain")
+        if p < 1:
+            raise ConfigError(f"a chain needs at least one node, got {p}")
+        return cls(p, np.column_stack([np.arange(p - 1), np.arange(1, p)]), kind="chain")
 
     @classmethod
     def grid4(cls, height: int, width: int) -> "Graph":
-        neighbors = []
-        for r in range(height):
-            for c in range(width):
-                nb = []
-                if r > 0:
-                    nb.append((r - 1) * width + c)
-                if r < height - 1:
-                    nb.append((r + 1) * width + c)
-                if c > 0:
-                    nb.append(r * width + c - 1)
-                if c < width - 1:
-                    nb.append(r * width + c + 1)
-                neighbors.append(np.array(nb, dtype=int))
-        return cls(neighbors, kind="grid4")
+        if height < 1 or width < 1:
+            raise ConfigError(f"a grid needs at least one row and column, got {height}x{width}")
+        index = np.arange(height * width).reshape(height, width)
+        edges = np.concatenate([
+            np.column_stack([index[:, :-1].ravel(), index[:, 1:].ravel()]),
+            np.column_stack([index[:-1].ravel(), index[1:].ravel()]),
+        ])
+        return cls(height * width, edges, kind="grid4")
 
     @classmethod
     def from_edges(cls, p: int, edges, kind: str = "general") -> "Graph":
-        adj: list[set[int]] = [set() for _ in range(p)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < p and 0 <= j < p):
-                raise DimensionMismatchError(f"edge ({i}, {j}) outside 0..{p - 1}")
-            adj[i].add(j)
-            adj[j].add(i)
-        return cls([np.array(sorted(s), dtype=int) for s in adj], kind=kind)
+        return cls(p, list(edges), kind=kind)
 
     def subgraph(self, nodes) -> "Graph":
         """The graph induced on ``nodes`` (ascending), renumbered 0..len(nodes)-1.
@@ -114,22 +91,21 @@ class Graph:
         Only edges between two kept nodes survive, so no edge links across a
         removed node.
         """
-        nodes = np.asarray(nodes, dtype=int)
-        ascending = nodes.ndim == 1 and bool(np.all(np.diff(nodes) > 0))
-        if not ascending or (nodes.size and (nodes[0] < 0 or nodes[-1] >= self.p)):
-            raise ValueError(f"subgraph nodes must be ascending indices in 0..{self.p - 1}")
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.ndim != 1 or np.any(np.diff(nodes) <= 0):
+            raise ConfigError("subgraph nodes must be ascending")
+        if nodes.size and (nodes[0] < 0 or nodes[-1] >= self.p):
+            raise DimensionMismatchError(f"subgraph nodes must lie in 0..{self.p - 1}")
         index = np.full(self.p, -1)
         index[nodes] = np.arange(nodes.size)
-        neighbors = []
-        for j in nodes:
-            nb = index[self.neighbors[j]]
-            neighbors.append(nb[nb >= 0])
-        return Graph(neighbors, kind=self.kind)
+        src, dst = index[self.src], index[self.dst]
+        keep = (src >= 0) & (dst >= 0)
+        return Graph(nodes.size, np.column_stack([src[keep], dst[keep]]), kind=self.kind)
 
     def neighbor_mean(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean of each node's neighbor values plus an isolated-node mask."""
         values = np.asarray(values, dtype=float)
-        sums = np.bincount(self._src, weights=values[self._dst], minlength=self.p) if self._src.size else np.zeros(self.p)
+        sums = np.bincount(self.src, weights=values[self.dst], minlength=self.p)
         isolated = self.degrees == 0
         means = np.divide(sums, self.degrees, out=np.zeros(self.p), where=~isolated)
         return means, isolated
@@ -214,7 +190,7 @@ def _log_exp_integrals(lo, hi, slopes, intercepts) -> np.ndarray:
         flat = intercepts + np.log(width)
         log_segment = np.where(slopes > 0, pos, np.where(slopes < 0, neg, flat))
     log_segment = np.where(width > 0, log_segment, -np.inf)
-    return logsumexp(log_segment, axis=1)
+    return _responsibilities(log_segment)[0]
 
 
 def _log_norm_diff(a_std: np.ndarray, c_std: np.ndarray) -> np.ndarray:
@@ -248,10 +224,10 @@ def _segment_moments(sigma02: float, lo, hi, slopes, intercepts):
     c_std = (hi - mu_star) / sigma0
     log_diff = _log_norm_diff(a_std, c_std)
     log_mass = intercepts + 0.5 * slopes**2 * sigma02 + log_diff
-    log_total = logsumexp(log_mass, axis=1)
+    with np.errstate(invalid="ignore"):
+        log_total, weights = _responsibilities(log_mass)
     if not np.isfinite(log_total).all():
         raise QuadratureUnderflowError("posterior mass vanished in every segment")
-    weights = np.exp(log_mass - log_total[:, None])
     with np.errstate(invalid="ignore", over="ignore"):
         log_phi_a = -0.5 * a_std**2 - HALF_LOG_2PI
         log_phi_c = -0.5 * c_std**2 - HALF_LOG_2PI
@@ -267,15 +243,6 @@ def _segment_moments(sigma02: float, lo, hi, slopes, intercepts):
         second_u = (weights * np.where(weights > 0, seg_second, 0.0)).sum(axis=1)
     variance = np.maximum(second_u - mean_u**2, 0.0)
     return mean_u, variance, log_total
-
-
-def _piecewise_posterior(beta_bar: np.ndarray, sigma02: float, mus: np.ndarray,
-                         inv_scales: np.ndarray):
-    """Exact posterior mean/variance/log-integral for piecewise-linear log priors."""
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    lo, hi, slopes, intercepts = _segments(mus - beta_bar[:, None], inv_scales)
-    mean_u, variance, log_integral = _segment_moments(sigma02, lo, hi, slopes, intercepts)
-    return beta_bar + mean_u, variance, log_integral
 
 
 def _prior_factors(neighbor_means: np.ndarray, scales: FusedScales):
@@ -309,17 +276,21 @@ def _factor_arrays(nbr: np.ndarray, s1: float, s2_col: np.ndarray):
 
 def _fused_stats(beta_bar: np.ndarray, sigma02: float, nbr: np.ndarray, s1: float,
                  s2_col: np.ndarray) -> PosteriorStats:
-    """Exact posterior stats for the fused prior with per-row smoothness scales."""
+    """Exact posterior stats for the fused prior with per-row smoothness scales.
+
+    The prior's segments, built once in observation-centered coordinates,
+    serve both integrals: the posterior moments and log integral against the
+    Gaussian observation, and the prior's own normalizing constant.
+    """
     beta_bar = np.asarray(beta_bar, dtype=float)
     mus, inv = _factor_arrays(nbr, s1, s2_col)
-    mean, variance, log_integral = _piecewise_posterior(beta_bar, sigma02, mus, inv)
-    shifted = mus - beta_bar[:, None]
-    log_z = _log_exp_integrals(*_segments(shifted, inv))
+    segments = _segments(mus - beta_bar[:, None], inv)
+    mean_u, variance, log_integral = _segment_moments(sigma02, *segments)
     return PosteriorStats(
-        mean=mean,
+        mean=beta_bar + mean_u,
         variance=variance,
-        null_prob=np.zeros_like(mean),
-        log_marginal=log_integral - log_z,
+        null_prob=np.zeros_like(mean_u),
+        log_marginal=log_integral - _log_exp_integrals(*segments),
     )
 
 
@@ -342,55 +313,38 @@ def fused_log_marginal(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.
     return fused_posterior_stats(beta_bar, sigma02, neighbor_means, scales).log_marginal
 
 
-def learn_scales(beta_bar: np.ndarray, sigma02: float, graph: Graph,
-                 neighbor_means: np.ndarray, grid_size: int = 12,
-                 bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
+def learn_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
+                 grid_size: int = 12, bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
     """Maximize the summed marginal log likelihood over the two Laplace scales.
 
-    A logarithmic grid search locates the basin; one Nelder-Mead polish in
-    log-scale coordinates refines it.  Deterministic by construction.
+    A logarithmic grid search locates the basin; ``refine_scales`` polishes
+    its best point.  Deterministic by construction.
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
-    values = np.geomspace(bounds[0], bounds[1], grid_size)
-
-    def objective(s1: float, s2: float) -> float:
-        return float(fused_log_marginal(beta_bar, sigma02, neighbor_means,
-                                        FusedScales(s1, s2)).sum())
-
-    best = (-np.inf, values[0], values[0])
+    values = [float(v) for v in np.geomspace(bounds[0], bounds[1], grid_size)]
+    best_value, best = -np.inf, FusedScales(values[0], values[0])
     for s1 in values:
         for s2 in values:
-            obj = objective(s1, s2)
-            if obj > best[0]:
-                best = (obj, s1, s2)
-
-    lo, hi = math.log(bounds[0]), math.log(bounds[1])
-
-    def neg_log_objective(x):
-        s1, s2 = np.exp(np.clip(x, lo, hi))
-        return -objective(float(s1), float(s2))
-
-    polish = minimize(
-        neg_log_objective,
-        x0=np.log([best[1], best[2]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-3, "fatol": 1e-8, "maxiter": 120},
-    )
-    if -polish.fun >= best[0]:
-        s1, s2 = np.exp(np.clip(polish.x, lo, hi))
-        return FusedScales(float(s1), float(s2))
-    return FusedScales(float(best[1]), float(best[2]))
+            scales = FusedScales(s1, s2)
+            value = float(fused_log_marginal(beta_bar, sigma02, neighbor_means, scales).sum())
+            if value > best_value:
+                best_value, best = value, scales
+    return refine_scales(beta_bar, sigma02, neighbor_means, best, bounds)
 
 
 def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
                   start: FusedScales, bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
     """Local marginal-likelihood polish of the scales, warm-started at ``start``.
 
-    Used on re-learns inside iterative drivers: a fresh global grid search can
-    jump to a degenerate near-delta corner once the latent means echo the
-    neighbor anchors, whereas a local refinement keeps hyperparameters on the
-    path they converged along.  Never returns a worse point than ``start``.
+    One Nelder-Mead run in log-scale coordinates.  Used on re-learns inside
+    iterative drivers: a fresh global grid search can jump to a degenerate
+    near-delta corner once the latent means echo the neighbor anchors, whereas
+    a local refinement keeps hyperparameters on the path they converged along.
+    Never returns a worse point than ``start``.
     """
+    # imported here, the one place that needs it, to keep it out of `import nash`
+    from scipy.optimize import minimize
+
     beta_bar = np.asarray(beta_bar, dtype=float)
     lo, hi = math.log(bounds[0]), math.log(bounds[1])
 
@@ -463,10 +417,9 @@ def _neighbor_matrix(graph: Graph, b_bar: np.ndarray, net: MessageNet | None = N
         return v1[:, None], s2
     if graph.kind == "chain":
         nbr = np.full((graph.p, 2), np.nan)
-        nbr[1:, 0] = b_bar[:-1]
-        nbr[:-1, 1] = b_bar[1:]
-        nbr[graph.chain_cuts + 1, 0] = np.nan
-        nbr[graph.chain_cuts, 1] = np.nan
+        left = graph.dst < graph.src
+        nbr[graph.src[left], 0] = b_bar[graph.dst[left]]
+        nbr[graph.src[~left], 1] = b_bar[graph.dst[~left]]
         return nbr, None
     means, isolated = graph.neighbor_mean(b_bar)
     nbr = means[:, None].copy()
@@ -484,44 +437,37 @@ class FusedPrior:
 
     Neighbor anchors are read from the previous sweep's latent means
     (Jacobi style), so all per-node posteriors within a sweep are
-    independent and the sweep is order-free.
+    independent and the sweep is order-free.  With ``learn`` the global
+    scales are learned once, on the first update, and then held: re-learning
+    against anchors the fit itself produced collapses the smoothness scale
+    (see ``DenoiseConfig``).  A ``net`` supplies per-node anchors and
+    smoothness scales instead, and nothing is learned.
     """
 
     kind = "fused"
     side_kind = "graph"
 
     def __init__(self, graph: Graph, scales: FusedScales | None = None, learn: bool = True,
-                 learn_every: int = 1, learn_limit: int | None = 1, net: MessageNet | None = None, features: np.ndarray | None = None):
+                 net: MessageNet | None = None, features: np.ndarray | None = None):
         self.graph = graph
         self.scales = scales if scales is not None else FusedScales(0.45, 0.15)
         self.learn = learn
-        self.learn_every = learn_every
-        # repeated re-learning against self-produced anchors collapses the
-        # smoothness scale (see learn_scales); default is one learning pass
-        self.learn_limit = learn_limit
         self.net = net
         self.features = features
         self.b_prev = np.zeros(graph.p)
-        self._updates = 0
-        self._learns = 0
+        self._learned = False
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
         nbr, s2_vec = _neighbor_matrix(self.graph, self.b_prev, self.net, self.features)
-        due = self.learn and s2_vec is None and self._updates % self.learn_every == 0
-        if due and (self.learn_limit is None or self._learns < self.learn_limit):
-            if self._learns == 0:
-                self.scales = learn_scales(beta_bar, sigma02, self.graph, nbr)
-            else:
-                self.scales = refine_scales(beta_bar, sigma02, nbr, self.scales)
-            self._learns += 1
-        scales = self.scales
         if s2_vec is not None:
             # per-node scales from the network override the global smoothness scale
-            stats = _fused_stats(beta_bar, sigma02, nbr, scales.s1, np.asarray(s2_vec, dtype=float))
+            stats = _fused_stats(beta_bar, sigma02, nbr, self.scales.s1, np.asarray(s2_vec, dtype=float))
         else:
-            stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales)
+            if self.learn and not self._learned:
+                self.scales = learn_scales(beta_bar, sigma02, nbr)
+                self._learned = True
+            stats = fused_posterior_stats(beta_bar, sigma02, nbr, self.scales)
         self.b_prev = stats.mean
-        self._updates += 1
         return stats
 
     def prior_null_mass(self) -> np.ndarray | None:
@@ -556,6 +502,8 @@ class DenoiseConfig:
             raise ConfigError(f"need at least one sweep, got {self.sweeps}")
         if self.learn_every < 1:
             raise ConfigError(f"learn_every must be at least 1, got {self.learn_every}")
+        if self.noise_sd is not None and not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
+            raise ConfigError(f"noise sd must be positive and finite, got {self.noise_sd}")
 
 
 def estimate_noise_sd(image: np.ndarray) -> float:
@@ -595,7 +543,6 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
     sigma2 = sigma2_init
     sigma02 = max(float(np.var(y)) - sigma2, sigma2)
     scales = config.scales
-    first_learn = True
     b_bar = np.zeros(n)
     elbo_trace: list[float] = []
     data_term: list[float] = []
@@ -619,9 +566,8 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
         data_term.append(float(np.sum((y - b_bar) ** 2)))
         if config.learn_scales and t % config.learn_every == 0:
             nbr_new, _ = _neighbor_matrix(graph, b_bar)
-            if first_learn:
-                scales = learn_scales(beta_bar, sigma02, graph, nbr_new)
-                first_learn = False
+            if t == config.learn_every:
+                scales = learn_scales(beta_bar, sigma02, nbr_new)
             else:
                 scales = refine_scales(beta_bar, sigma02, nbr_new, scales)
         # observation-variance refinement is confined to a trust band around

@@ -440,6 +440,8 @@ class SoftmaxPrior:
                  train_config: TrainConfig | None = None, grid: MixtureGrid | None = None):
         if grid is None and n_components < 2:
             raise ConfigError(f"need at least two mixture components, got {n_components}")
+        if hidden < 0:
+            raise ConfigError(f"hidden width must be non-negative, got {hidden}")
         self.D = np.asarray(D, dtype=float)
         self.train_config = train_config if train_config is not None else TrainConfig()
         self.n_components = n_components if grid is None else grid.n_components
@@ -485,6 +487,10 @@ class MdnPrior:
 
     def __init__(self, D: np.ndarray, n_components: int = 5, hidden: int = 16,
                  train_config: TrainConfig | None = None):
+        if n_components < 1:
+            raise ConfigError(f"need at least one Gaussian component, got {n_components}")
+        if hidden < 0:
+            raise ConfigError(f"hidden width must be non-negative, got {hidden}")
         self.D = np.asarray(D, dtype=float)
         self.train_config = train_config if train_config is not None else TrainConfig()
         self.n_components = n_components

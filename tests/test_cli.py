@@ -130,7 +130,36 @@ class TestFitCommand:
                                           "--prior", "fused", "--side", "chain"])
         _, side = _build_prior(args, 6, np.array([0, 1, 3, 4, 5]), 0)
         assert side.graph.kind == "chain"
-        assert [nb.tolist() for nb in side.graph.neighbors] == [[1], [0], [3], [2, 4], [3]]
+        assert side.graph.src.tolist() == [0, 1, 2, 3, 3, 4]
+        assert side.graph.dst.tolist() == [1, 0, 3, 2, 4, 3]
+
+    @pytest.mark.parametrize("side, message", [("self-loop", "self-loop"),
+                                               ("grid:-1x-5", "at least one row")])
+    def test_bad_graph_is_single_line_error(self, regression_files, tmp_path, capsys, side, message):
+        _, _, x_path, y_path = regression_files
+        if side == "self-loop":
+            edges = tmp_path / "edges.csv"
+            edges.write_text("0,1\n2,2\n")
+            side = str(edges)
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--prior", "fused", "--side", side,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert message in err and not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--prior", "softmax", "--hidden", "-1"],
+                                       ["--prior", "mdn", "--mdn-components", "0"]])
+    def test_bad_network_size_is_single_line_error(self, regression_files, tmp_path, capsys, flags):
+        _, _, x_path, y_path = regression_files
+        side = tmp_path / "side.csv"
+        side.write_text("a\na\nb\nb\nb\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--side", str(side), "--out", str(out)]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_side_rows_checked_against_original_columns(self, constant_column_files, tmp_path, capsys):
         side = tmp_path / "side.csv"
@@ -259,6 +288,17 @@ class TestDenoiseCommand:
         write_pgm(str(src), piecewise_image(2, size=12))
         out = tmp_path / "out.pgm"
         assert main(["denoise", "--image", str(src), "--out", str(out), "--sweeps", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--s1", "0"], ["--s2", "-1"], ["--s1", "nan"],
+                                       ["--sigma", "-0.2"], ["--sigma", "0"], ["--sigma", "nan"]])
+    def test_bad_scale_or_noise_is_single_line_error(self, tmp_path, capsys, flags):
+        src = tmp_path / "in.pgm"
+        write_pgm(str(src), piecewise_image(2, size=12))
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--image", str(src), "--out", str(out)] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()

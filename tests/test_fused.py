@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import piecewise_image
+from nash.errors import ConfigError, DimensionMismatchError, QuadratureUnderflowError
 from nash.fused import (
     DenoiseConfig,
     FusedPrior,
@@ -11,6 +12,7 @@ from nash.fused import (
     Graph,
     MessageNet,
     _neighbor_matrix,
+    _segment_moments,
     denoise_image,
     estimate_noise_sd,
     fused_log_density,
@@ -43,11 +45,96 @@ def oracle_moments(beta_bar, sigma02, log_prior, points=100_000, width=10.0, cen
     return mean, second - mean**2, np.log(mass)
 
 
+def reference_chain(p):
+    return [np.array([j for j in (i - 1, i + 1) if 0 <= j < p], dtype=int) for i in range(p)]
+
+
+def reference_grid4(height, width):
+    neighbors = []
+    for r in range(height):
+        for c in range(width):
+            nb = []
+            if r > 0:
+                nb.append((r - 1) * width + c)
+            if r < height - 1:
+                nb.append((r + 1) * width + c)
+            if c > 0:
+                nb.append(r * width + c - 1)
+            if c < width - 1:
+                nb.append(r * width + c + 1)
+            neighbors.append(np.array(sorted(nb), dtype=int))
+    return neighbors
+
+
+def reference_from_edges(p, edges):
+    adj = [set() for _ in range(p)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return [np.array(sorted(s), dtype=int) for s in adj]
+
+
+def reference_subgraph(neighbors, nodes):
+    index = np.full(len(neighbors), -1)
+    index[nodes] = np.arange(len(nodes))
+    return [nb[nb >= 0] for nb in (index[neighbors[j]] for j in nodes)]
+
+
+def reference_neighbor_matrix(neighbors, kind, b):
+    """Neighbor summaries as the per-node list builder produced them."""
+    p = len(neighbors)
+    src = np.repeat(np.arange(p), [nb.size for nb in neighbors])
+    dst = np.concatenate(neighbors) if src.size else np.empty(0, dtype=int)
+    degrees = np.array([nb.size for nb in neighbors], dtype=int)
+    sums = np.bincount(src, weights=b[dst], minlength=p) if src.size else np.zeros(p)
+    means = np.divide(sums, degrees, out=np.zeros(p), where=degrees > 0)
+    if kind == "chain":
+        linked = np.zeros(max(p - 1, 0), dtype=bool)
+        linked[src[dst == src + 1]] = True
+        cuts = np.flatnonzero(~linked)
+        nbr = np.full((p, 2), np.nan)
+        nbr[1:, 0] = b[:-1]
+        nbr[:-1, 1] = b[1:]
+        nbr[cuts + 1, 0] = np.nan
+        nbr[cuts, 1] = np.nan
+    else:
+        nbr = means[:, None].copy()
+        nbr[degrees == 0, 0] = np.nan
+    return src, dst, degrees, means, nbr
+
+
+def _random_edges(seed, p=15, count=40):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, p, size=(count, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    # repeat some pairs, some of them reversed
+    return p, [tuple(e) for e in np.concatenate([edges, edges[:10], edges[5:15, ::-1]])]
+
+
+def _graph_cases():
+    cases = {
+        "chain1": (Graph.chain(1), reference_chain(1)),
+        "chain7": (Graph.chain(7), reference_chain(7)),
+        "grid1x6": (Graph.grid4(1, 6), reference_grid4(1, 6)),
+        "grid6x1": (Graph.grid4(6, 1), reference_grid4(6, 1)),
+        "grid5x7": (Graph.grid4(5, 7), reference_grid4(5, 7)),
+        "chain_subgraph": (Graph.chain(9).subgraph([0, 1, 3, 4, 5, 8]),
+                           reference_subgraph(reference_chain(9), [0, 1, 3, 4, 5, 8])),
+        "grid_subgraph": (Graph.grid4(5, 7).subgraph([0, 2, 3, 7, 8, 9, 10, 17, 30, 34]),
+                          reference_subgraph(reference_grid4(5, 7), [0, 2, 3, 7, 8, 9, 10, 17, 30, 34])),
+    }
+    for seed in (0, 1, 2):
+        p, edges = _random_edges(seed)
+        cases[f"random{seed}"] = (Graph.from_edges(p, edges), reference_from_edges(p, edges))
+    return cases
+
+
 class TestGraph:
     def test_chain_structure(self):
         graph = Graph.chain(4)
         assert graph.kind == "chain"
-        assert [list(nb) for nb in graph.neighbors] == [[1], [0, 2], [1, 3], [2]]
+        assert graph.src.tolist() == [0, 1, 1, 2, 2, 3]
+        assert graph.dst.tolist() == [1, 0, 2, 1, 3, 2]
 
     def test_grid4_degrees(self):
         graph = Graph.grid4(3, 4)
@@ -55,26 +142,51 @@ class TestGraph:
         assert graph.degrees.max() == 4
         assert graph.degrees.min() == 2  # corners
 
-    def test_rejects_asymmetric_adjacency(self):
-        with pytest.raises(ValueError):
-            Graph([np.array([1]), np.array([], dtype=int)])
+    @pytest.mark.parametrize("name", sorted(_graph_cases()))
+    def test_matches_list_reference(self, name):
+        graph, neighbors = _graph_cases()[name]
+        b = np.random.default_rng(3).standard_normal(graph.p)
+        src, dst, degrees, means, nbr = reference_neighbor_matrix(neighbors, graph.kind, b)
+        np.testing.assert_array_equal(graph.src, src)
+        np.testing.assert_array_equal(graph.dst, dst)
+        np.testing.assert_array_equal(graph.degrees, degrees)
+        np.testing.assert_array_equal(graph.neighbor_mean(b)[0], means)
+        np.testing.assert_array_equal(graph.neighbor_mean(b)[1], degrees == 0)
+        np.testing.assert_array_equal(_neighbor_matrix(graph, b)[0], nbr)
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Graph.from_edges(3, [(0, 0)])
 
+    def test_rejects_edge_outside_the_nodes(self):
+        with pytest.raises(DimensionMismatchError):
+            Graph.from_edges(3, [(0, 3)])
+
     def test_rejects_chain_link_to_a_non_adjacent_node(self):
-        with pytest.raises(ValueError):
-            Graph([np.array([2]), np.array([], dtype=int), np.array([0])], kind="chain")
+        with pytest.raises(ConfigError):
+            Graph.from_edges(3, [(0, 2)], kind="chain")
+
+    def test_rejects_grid4_node_with_five_neighbors(self):
+        with pytest.raises(ConfigError):
+            Graph.from_edges(6, [(0, k) for k in range(1, 6)], kind="grid4")
+
+    @pytest.mark.parametrize("build", [lambda: Graph.chain(0), lambda: Graph.chain(-3),
+                                       lambda: Graph.grid4(0, 4), lambda: Graph.grid4(-2, -3)])
+    def test_rejects_sizes_below_one(self, build):
+        with pytest.raises(ConfigError):
+            build()
 
     def test_subgraph_keeps_only_edges_between_kept_nodes(self):
         graph = Graph.grid4(3, 3).subgraph([0, 1, 2, 3, 5, 6, 7, 8])  # drop the center
         assert graph.kind == "grid4"
-        assert [nb.tolist() for nb in graph.neighbors] == [
-            [1, 3], [0, 2], [1, 4], [0, 5], [2, 7], [3, 6], [5, 7], [4, 6]
+        assert list(zip(graph.src.tolist(), graph.dst.tolist())) == [
+            (0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 4), (3, 0), (3, 5),
+            (4, 2), (4, 7), (5, 3), (5, 6), (6, 5), (6, 7), (7, 4), (7, 6),
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Graph.chain(4).subgraph([2, 1])
+        with pytest.raises(DimensionMismatchError):
+            Graph.chain(4).subgraph([2, 4])
 
     def test_chain_subgraph_breaks_at_the_removed_node(self):
         graph = Graph.chain(5).subgraph([0, 1, 3, 4])
@@ -153,6 +265,15 @@ class TestFusedPosteriorStats:
                                       FusedScales(5.0, 1e-3))
         assert stats.mean[0] == pytest.approx(1.5, abs=5e-3)
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_vanished_row_mass_raises(self, bad):
+        lo = np.array([[-np.inf, 0.0], [-np.inf, 0.0]])
+        hi = np.array([[0.0, np.inf], [0.0, np.inf]])
+        slopes = np.array([[1.0, -1.0], [1.0, -1.0]])
+        intercepts = np.array([[0.0, 0.0], [bad, bad]])
+        with pytest.raises(QuadratureUnderflowError):
+            _segment_moments(0.5, lo, hi, slopes, intercepts)
+
     def test_null_probability_is_zero(self, rng):
         stats = fused_posterior_stats(rng.normal(0, 1, 6), 0.2,
                                       rng.normal(0, 1, (6, 1)), FusedScales(0.5, 0.5))
@@ -163,19 +284,17 @@ class TestLearnScales:
     def test_piecewise_constant_wants_tight_smoothness(self, rng):
         p = 60
         b = np.concatenate([np.zeros(30), np.full(30, 3.0)]) + rng.normal(0, 0.05, p)
-        graph = Graph.chain(p)
         nbr = np.full((p, 2), np.nan)
         nbr[1:, 0] = b[:-1]
         nbr[:-1, 1] = b[1:]
         beta_bar = b + rng.normal(0, 0.1, p)
-        learned = learn_scales(beta_bar, 0.01, graph, nbr)
+        learned = learn_scales(beta_bar, 0.01, nbr)
         assert learned.s2 < learned.s1
 
     def test_isolated_nodes_reduce_to_one_dimensional_problem(self, rng):
-        graph = Graph.from_edges(40, [])
         beta_bar = rng.standard_t(2, 40) * 0.5
         nbr = np.full((40, 1), np.nan)
-        learned = learn_scales(beta_bar, 0.05, graph, nbr)
+        learned = learn_scales(beta_bar, 0.05, nbr)
         values = np.geomspace(1e-3, 10.0, 12)
         # the objective cannot depend on s2 when every node is isolated
         for s2 in (0.01, 1.0):
@@ -193,13 +312,31 @@ class TestLearnScales:
     def test_deterministic(self, rng):
         p = 20
         b = rng.normal(0, 1, p)
-        graph = Graph.chain(p)
         nbr = np.full((p, 2), np.nan)
         nbr[1:, 0] = b[:-1]
         nbr[:-1, 1] = b[1:]
-        first = learn_scales(b, 0.1, graph, nbr)
-        second = learn_scales(b, 0.1, graph, nbr)
+        first = learn_scales(b, 0.1, nbr)
+        second = learn_scales(b, 0.1, nbr)
         assert (first.s1, first.s2) == (second.s1, second.s2)
+        assert type(first.s1) is float and type(first.s2) is float
+
+    def test_never_below_best_grid_point(self, rng):
+        p = 30
+        b = np.repeat([0.0, 2.0, -1.0], 10) + rng.normal(0, 0.1, p)
+        beta_bar = b + rng.normal(0, 0.3, p)
+        nbr = np.full((p, 2), np.nan)
+        nbr[1:, 0] = b[:-1]
+        nbr[:-1, 1] = b[1:]
+        learned = learn_scales(beta_bar, 0.09, nbr, grid_size=6)
+        obj = lambda s: fused_log_marginal(beta_bar, 0.09, nbr, s).sum()
+        values = np.geomspace(1e-3, 10.0, 6)
+        best_grid = max(obj(FusedScales(float(s1), float(s2))) for s1 in values for s2 in values)
+        assert obj(learned) >= best_grid - 1e-9
+
+    @pytest.mark.parametrize("s1, s2", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)])
+    def test_scales_must_be_positive_and_finite(self, s1, s2):
+        with pytest.raises(ConfigError):
+            FusedScales(s1, s2)
 
     def test_refine_never_worse_than_start(self, rng):
         p = 20
@@ -334,11 +471,14 @@ class TestDenoise:
     @pytest.mark.parametrize("field", ["sweeps", "learn_every"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_config_counts_below_one_rejected(self, field, value):
-        from nash.errors import ConfigError
         with pytest.raises(ConfigError):
             DenoiseConfig(learn_scales=True, **{field: value})
 
+    @pytest.mark.parametrize("noise_sd", [0.0, -0.2, np.nan, np.inf])
+    def test_config_noise_sd_must_be_positive_and_finite(self, noise_sd):
+        with pytest.raises(ConfigError):
+            DenoiseConfig(noise_sd=noise_sd)
+
     def test_rejects_non_matrix(self):
-        from nash.errors import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):
             denoise_image(np.zeros(5), DenoiseConfig())

@@ -261,6 +261,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             SoftmaxPrior(rng.standard_normal((5, 2)), n_components=1)
 
+    def test_negative_hidden_width_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            SoftmaxPrior(rng.standard_normal((5, 2)), hidden=-1)
+        with pytest.raises(ConfigError):
+            MdnPrior(rng.standard_normal((5, 2)), hidden=-1)
+
+    def test_mdn_without_gaussian_component_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            MdnPrior(rng.standard_normal((5, 2)), n_components=0)
+
 
 class TestMdnForward:
     def test_zero_parameters_give_neutral_heads(self):

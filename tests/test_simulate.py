@@ -137,12 +137,20 @@ class TestGenResponse:
         np.testing.assert_allclose(noise, draws * 0.7 * GAUSSIAN_MAD / quartile, rtol=1e-15)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, nash; print('scipy.stats' in sys.modules)"
+def _loaded_by_import_nash(module: str) -> str:
+    code = f"import sys, nash; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nash.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert _loaded_by_import_nash("scipy.stats") == "False"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert _loaded_by_import_nash("scipy.optimize") == "False"
 
 
 class TestScaledPredPerf:
