@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="exact-cavi")
     p_fit.add_argument("--grid-size", type=int, default=20,
                        help="mixture components for ash/softmax priors")
-    p_fit.add_argument("--hidden", type=int, default=0, help="hidden units for network priors")
+    p_fit.add_argument("--hidden", type=int, default=None,
+                       help="hidden units for network priors (default: softmax 0, mdn 16)")
     p_fit.add_argument("--mdn-components", type=int, default=5)
     p_fit.add_argument("--steps", type=int, default=500, help="network steps on the first sweep")
     p_fit.add_argument("--later-steps", type=int, default=50)
@@ -167,11 +168,12 @@ def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
         if kept is not None:
             D = D[kept]
         side = SideInfo.from_features(D)
+        net_args = {"train_config": train_config}
+        if args.hidden is not None:
+            net_args["hidden"] = args.hidden
         if args.prior == "softmax":
-            return SoftmaxPrior(D, n_components=args.grid_size, hidden=args.hidden,
-                                train_config=train_config), side
-        return MdnPrior(D, n_components=args.mdn_components,
-                        hidden=args.hidden or 16, train_config=train_config), side
+            return SoftmaxPrior(D, n_components=args.grid_size, **net_args), side
+        return MdnPrior(D, n_components=args.mdn_components, **net_args), side
     if not args.side:
         raise ConfigError("fused prior requires a graph (--side chain | grid:HxW | edge file)")
     side_arg = args.side

@@ -65,8 +65,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ConfigError("max_sweeps must be at least 1")
-        if self.elbo_tol <= 0:
-            raise ConfigError("elbo_tol must be positive")
+        if not 0 < self.elbo_tol < math.inf:
+            raise ConfigError(f"elbo_tol must be positive and finite, got {self.elbo_tol}")
         if self.variance_rule not in VARIANCE_RULES:
             raise ConfigError(f"unknown variance rule {self.variance_rule!r}")
         if self.init_mode not in ("zero", "provided"):

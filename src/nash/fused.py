@@ -196,17 +196,16 @@ def _log_exp_integrals(lo, hi, slopes, intercepts) -> np.ndarray:
 def _log_norm_diff(a_std: np.ndarray, c_std: np.ndarray) -> np.ndarray:
     """log(Phi(c) - Phi(a)) elementwise, stable in both tails.
 
-    Segments right of the mean are evaluated through survival functions,
+    Segments right of the mean use the survival form Phi(-a) - Phi(-c),
     otherwise the difference of two quantities near one loses every digit.
+    Each entry's pair of arguments is chosen first, so ``log_ndtr`` runs once
+    per bound.
     """
+    right = a_std + c_std > 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        lower_cdf = log_ndtr(a_std)
-        upper_cdf = log_ndtr(c_std)
-        left = upper_cdf + np.log1p(-np.exp(np.minimum(lower_cdf - upper_cdf, 0.0)))
-        upper_sf = log_ndtr(-a_std)
-        lower_sf = log_ndtr(-c_std)
-        right = upper_sf + np.log1p(-np.exp(np.minimum(lower_sf - upper_sf, 0.0)))
-        out = np.where(a_std + c_std > 0, right, left)
+        upper = log_ndtr(np.where(right, -a_std, c_std))
+        lower = log_ndtr(np.where(right, -c_std, a_std))
+        out = upper + np.log1p(-np.exp(np.minimum(lower - upper, 0.0)))
     return np.where(c_std > a_std, out, -np.inf)
 
 

@@ -10,6 +10,7 @@ and Adam; no external ML runtime is involved, the networks are tiny.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,69 +28,74 @@ from .ash import (
 )
 from .errors import ConfigError, DimensionMismatchError, NonFiniteGradientError
 
+# Adam moment decays and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# up to FULL_BATCH_ROWS rows every step sees all of them; above, shuffled minibatches
+FULL_BATCH_ROWS, MINIBATCH = 4096, 1024
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
     steps: int = 500
     later_steps: int = 50
-    batch_size: int | None = None  # None: full batch up to 4096 rows
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.steps < 1 or self.later_steps < 1:
-            raise ConfigError("training hyperparameters must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("Adam moment decays must lie in (0, 1)")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.steps < 1 or self.later_steps < 1:
+            raise ConfigError("training steps must be positive")
 
 
 class Adam:
     """Adam ascent on a list of parameter arrays (updates in place)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p += self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p += self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - _responsibilities(z)[0][:, None]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    return _responsibilities(z)[1]
-
-
 class _DenseNet:
-    """Shared plumbing: parameter lists, flattening, input checks."""
+    """Optional ReLU trunk feeding linear output heads.
+
+    With ``hidden > 0`` the trunk is one layer ``w1``/``b1``, drawn before any
+    head so seeded draws keep their order; at depth 0 the heads read the
+    features directly.  Subclasses define ``_heads()``, the names and arrays
+    of each head's weight then bias (applied to the trunk output), and get
+    parameter lists, flattening, input checks and the trunk's share of the
+    gradients from here.
+    """
+
+    def __init__(self, n_features: int, hidden: int, rng: np.random.Generator):
+        self.n_features = n_features
+        self.hidden = hidden
+        self.width = hidden if hidden else n_features
+        self.layer = "2" if hidden else ""  # model files number the layer behind the trunk
+        if hidden:
+            self.w1 = rng.normal(0.0, 1.0 / np.sqrt(n_features), size=(n_features, hidden))
+            self.b1 = np.zeros(hidden)
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        raise NotImplementedError
+        trunk = [("w1", self.w1), ("b1", self.b1)] if self.hidden else []
+        return trunk + self._heads()
 
     def parameters(self) -> list[np.ndarray]:
         return [p for _, p in self.named_parameters()]
@@ -99,89 +105,85 @@ class _DenseNet:
 
     def set_flat(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=float)
-        offset = 0
-        for p in self.parameters():
-            p[...] = theta[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != theta.size:
+        params = self.parameters()
+        sizes = [p.size for p in params]
+        if theta.size != sum(sizes):
             raise DimensionMismatchError("flat parameter vector has the wrong length")
+        for p, chunk in zip(params, np.split(theta, np.cumsum(sizes)[:-1])):
+            p[...] = chunk.reshape(p.shape)
 
-    def _check_input(self, D: np.ndarray) -> np.ndarray:
-        """Feature rows as a 2-d array; a single feature vector becomes one row."""
+    def _trunk(self, D: np.ndarray):
+        """Checked feature rows, the trunk output and its pre-activation (None at depth 0).
+
+        A single feature vector becomes one row.
+        """
         D = np.asarray(D, dtype=float)
         if D.ndim == 1:
             D = D[None, :]
         if D.shape[1] != self.n_features:
             raise DimensionMismatchError(f"expected {self.n_features} features, got {D.shape[1]}")
-        return D
+        if not self.hidden:
+            return D, D, None
+        pre = D @ self.w1 + self.b1
+        return D, np.maximum(pre, 0.0), pre
+
+    def _gradients(self, D: np.ndarray, h: np.ndarray, pre: np.ndarray | None,
+                   g_out: list[np.ndarray]) -> list[np.ndarray]:
+        """Parameter gradients in ``named_parameters`` order.
+
+        ``g_out`` holds the objective's gradient with respect to each head's
+        output, in ``_heads()`` order; the trunk gets their sum pulled back
+        through the head weights and the ReLU.
+        """
+        grads = [g for g_z in g_out for g in (h.T @ g_z, g_z.sum(axis=0))]
+        if pre is None:
+            return grads
+        weights = [w for _, w in self._heads()[0::2]]
+        g_h = g_out[0] @ weights[0].T
+        for g_z, w in zip(g_out[1:], weights[1:]):
+            g_h += g_z @ w.T
+        g_h *= pre > 0
+        return [D.T @ g_h, g_h.sum(axis=0)] + grads
 
 
 class SoftmaxPriorNet(_DenseNet):
     """Features -> simplex of mixture weights; depth 0 or one hidden layer."""
 
     def __init__(self, n_features: int, n_components: int, hidden: int = 0, seed: int = 0):
-        self.n_features = n_features
-        self.n_components = n_components
-        self.hidden = hidden
         rng = np.random.default_rng(seed)
-        if hidden:
-            self.w1 = rng.normal(0.0, 1.0 / np.sqrt(n_features), size=(n_features, hidden))
-            self.b1 = np.zeros(hidden)
-            self.w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, n_components))
-            self.b2 = np.zeros(n_components)
-        else:
-            self.w = rng.normal(0.0, 1.0 / np.sqrt(n_features), size=(n_features, n_components))
-            self.b = np.zeros(n_components)
+        super().__init__(n_features, hidden, rng)
+        self.n_components = n_components
+        self.w = rng.normal(0.0, 1.0 / np.sqrt(self.width), size=(self.width, n_components))
+        self.b = np.zeros(n_components)
 
-    def named_parameters(self):
-        if self.hidden:
-            return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
-        return [("w", self.w), ("b", self.b)]
-
-    def _logits(self, D: np.ndarray):
-        if self.hidden:
-            pre = D @ self.w1 + self.b1
-            h = _relu(pre)
-            return h @ self.w2 + self.b2, (pre, h)
-        return D @ self.w + self.b, None
+    def _heads(self):
+        return [("w" + self.layer, self.w), ("b" + self.layer, self.b)]
 
     def forward(self, D: np.ndarray) -> np.ndarray:
         """Mixture weights for one feature vector or a stack of them."""
-        batch = self._check_input(D)
-        z, _ = self._logits(batch)
-        probs = _softmax(z)
+        _, h, _ = self._trunk(D)
+        probs = _responsibilities(h @ self.w + self.b)[1]
         return probs[0] if np.asarray(D).ndim == 1 else probs
 
     def objective(self, D: np.ndarray, log_lik: np.ndarray) -> float:
         """Marginal log likelihood sum_j log sum_m pi_m(d_j) exp(L_jm)."""
-        z, _ = self._logits(self._check_input(D))
-        return float(_responsibilities(_log_softmax(z) + log_lik)[0].sum())
+        _, h, _ = self._trunk(D)
+        return float(_responsibilities(_log_softmax(h @ self.w + self.b) + log_lik)[0].sum())
 
     def objective_and_gradients(self, D: np.ndarray, log_lik: np.ndarray):
-        D = self._check_input(D)
-        z, cache = self._logits(D)
+        D, h, pre = self._trunk(D)
+        z = h @ self.w + self.b
         log_norm, pi = _responsibilities(z)
         log_marginal, gamma = _responsibilities(z - log_norm[:, None] + log_lik)
-        obj = float(log_marginal.sum())
-        g_z = gamma - pi
-        if self.hidden:
-            pre, h = cache
-            g_w2 = h.T @ g_z
-            g_b2 = g_z.sum(axis=0)
-            g_h = (g_z @ self.w2.T) * (pre > 0)
-            g_w1 = D.T @ g_h
-            g_b1 = g_h.sum(axis=0)
-            return obj, [g_w1, g_b1, g_w2, g_b2]
-        return obj, [D.T @ g_z, g_z.sum(axis=0)]
+        return float(log_marginal.sum()), self._gradients(D, h, pre, [gamma - pi])
 
 
 def _mdn_logdens(beta_bar, sigma02: float, means, variances):
     """Per-component log densities of beta_bar under the MDN mixture, and sigma02 + variances.
 
     Column 0 is the point mass at zero, N(beta_j; 0, sigma02); column k is
-    N(beta_j; mean_jk, sigma02 + variance_jk).
+    N(beta_j; mean_jk, sigma02 + variance_jk); ``beta_bar`` is a float array.
     """
-    beta_bar = np.asarray(beta_bar, dtype=float)
     c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
     v = sigma02 + variances
     ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
@@ -196,42 +198,28 @@ class MdnPriorNet(_DenseNet):
     """
 
     def __init__(self, n_features: int, n_components: int = 5, hidden: int = 16, seed: int = 0):
-        self.n_features = n_features
-        self.n_components = n_components
-        self.hidden = hidden
         rng = np.random.default_rng(seed)
-        width = hidden if hidden else n_features
-        if hidden:
-            self.w1 = rng.normal(0.0, 1.0 / np.sqrt(n_features), size=(n_features, hidden))
-            self.b1 = np.zeros(hidden)
-        self.w_pi = rng.normal(0.0, 0.1 / np.sqrt(width), size=(width, n_components + 1))
+        super().__init__(n_features, hidden, rng)
+        self.n_components = n_components
+        scale = 0.1 / np.sqrt(self.width)
+        self.w_pi = rng.normal(0.0, scale, size=(self.width, n_components + 1))
         self.b_pi = np.zeros(n_components + 1)
-        self.w_mu = rng.normal(0.0, 0.1 / np.sqrt(width), size=(width, n_components))
+        self.w_mu = rng.normal(0.0, scale, size=(self.width, n_components))
         self.b_mu = np.zeros(n_components)
-        self.w_var = rng.normal(0.0, 0.1 / np.sqrt(width), size=(width, n_components))
+        self.w_var = rng.normal(0.0, scale, size=(self.width, n_components))
         self.b_var = np.zeros(n_components)
 
-    def named_parameters(self):
-        heads = [("w_pi", self.w_pi), ("b_pi", self.b_pi), ("w_mu", self.w_mu),
-                 ("b_mu", self.b_mu), ("w_var", self.w_var), ("b_var", self.b_var)]
-        if self.hidden:
-            return [("w1", self.w1), ("b1", self.b1)] + heads
-        return heads
-
-    def _trunk(self, D: np.ndarray):
-        if self.hidden:
-            pre = D @ self.w1 + self.b1
-            return _relu(pre), pre
-        return D, None
+    def _heads(self):
+        return [("w_pi", self.w_pi), ("b_pi", self.b_pi), ("w_mu", self.w_mu),
+                ("b_mu", self.b_mu), ("w_var", self.w_var), ("b_var", self.b_var)]
 
     def forward(self, D: np.ndarray):
         """Per-row (weights incl. null, means, variances)."""
-        single = np.asarray(D).ndim == 1
-        h, _ = self._trunk(self._check_input(D))
-        weights = _softmax(h @ self.w_pi + self.b_pi)
+        _, h, _ = self._trunk(D)
+        weights = _responsibilities(h @ self.w_pi + self.b_pi)[1]
         means = h @ self.w_mu + self.b_mu
         variances = np.exp(h @ self.w_var + self.b_var)
-        if single:
+        if np.asarray(D).ndim == 1:
             return weights[0], means[0], variances[0]
         return weights, means, variances
 
@@ -249,34 +237,20 @@ class MdnPriorNet(_DenseNet):
         return c, pi, means, variances, v
 
     def objective(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> float:
-        h, _ = self._trunk(self._check_input(D))
+        _, h, _ = self._trunk(D)
         a = self._log_joint(h, np.asarray(beta_bar, dtype=float), sigma02)[0]
         return float(_responsibilities(a)[0].sum())
 
     def objective_and_gradients(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float):
-        D = self._check_input(D)
+        D, h, pre = self._trunk(D)
         beta_bar = np.asarray(beta_bar, dtype=float)
-        h, pre = self._trunk(D)
         a, pi, means, variances, v = self._log_joint(h, beta_bar, sigma02)
         log_marginal, gamma = _responsibilities(a)
-        obj = float(log_marginal.sum())
-        g_zpi = gamma - pi
         gk = gamma[:, 1:]
         diff = beta_bar[:, None] - means
         g_mu = gk * diff / v
         g_lv = gk * (-0.5 / v + 0.5 * diff**2 / v**2) * variances
-        g_wpi = h.T @ g_zpi
-        g_bpi = g_zpi.sum(axis=0)
-        g_wmu = h.T @ g_mu
-        g_bmu = g_mu.sum(axis=0)
-        g_wvar = h.T @ g_lv
-        g_bvar = g_lv.sum(axis=0)
-        head_grads = [g_wpi, g_bpi, g_wmu, g_bmu, g_wvar, g_bvar]
-        if not self.hidden:
-            return obj, head_grads
-        g_h = g_zpi @ self.w_pi.T + g_mu @ self.w_mu.T + g_lv @ self.w_var.T
-        g_h *= pre > 0
-        return obj, [D.T @ g_h, g_h.sum(axis=0)] + head_grads
+        return float(log_marginal.sum()), self._gradients(D, h, pre, [gamma - pi, g_mu, g_lv])
 
 
 # ---------------------------------------------------------------------------
@@ -284,107 +258,70 @@ class MdnPriorNet(_DenseNet):
 # ---------------------------------------------------------------------------
 
 
-def _train(net: _DenseNet, eval_obj, eval_grads, n_rows: int, config: TrainConfig,
-           steps: int | None = None) -> np.ndarray:
-    """Adam ascent with best-parameter tracking; returns the objective trace.
+def _train(net: _DenseNet, rows: tuple, extra: tuple, config: TrainConfig | None,
+           steps: int | None) -> np.ndarray:
+    """Adam ascent of ``net.objective(*rows, *extra)``; returns the objective trace.
 
-    ``eval_obj()`` scores the full objective; ``eval_grads(idx)`` returns the
-    objective and gradient lists for a row subset (None for the full batch).
-    A full-batch step costs one forward pass: the objective that comes with
-    the gradients scores the parameters the step starts from, so the trace
-    and the best parameters run one step behind, and ``eval_obj()`` is
-    called once, after the last step.  Minibatch objectives cover only their
-    rows, so that path scores with ``eval_obj()`` once per epoch.  The trace
-    holds the initial objective and one entry per step (full batch) or per
-    epoch; the best parameter vector scored is restored at the end, so the
-    final objective can never fall below the initial one.
+    ``rows`` are the objective's row-aligned arrays (features first), which
+    must be finite; ``extra`` are its remaining arguments, passed unchanged.
+    Up to ``FULL_BATCH_ROWS`` rows every step uses the full batch and costs
+    one forward pass: the objective that comes with the gradients scores the
+    parameters the step starts from, so the trace and the best parameters
+    run one step behind, and the full objective is scored once more after
+    the last step.  Above that, each epoch shuffles the rows into minibatches
+    of ``MINIBATCH``; their objectives cover only their rows, so that path
+    scores the full objective once per epoch.  The trace holds the initial
+    objective and one entry per step (full batch) or per epoch; the best
+    parameter vector scored is restored at the end, so the final objective
+    can never fall below the initial one.
     """
+    config = config or TrainConfig()
+    rows = tuple(np.asarray(a, dtype=float) for a in rows)
+    if not all(np.isfinite(a).all() for a in rows):
+        raise ConfigError("training inputs must be finite")
+    n_rows = rows[0].shape[0]
     n_steps = steps if steps is not None else config.steps
-    full_batch = config.batch_size is None and n_rows <= 4096
-    batch_size = config.batch_size if config.batch_size is not None else 1024
-    opt = Adam(net.parameters(), config.learning_rate, config.beta1, config.beta2, config.eps)
+    opt = Adam(net.parameters(), config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
-    best_obj = -np.inf
-    best_theta = net.get_flat()
+    best = [-np.inf, net.get_flat()]  # best objective scored and its parameters
 
     def record(obj: float) -> None:
-        nonlocal best_obj, best_theta
         history.append(obj)
-        if obj > best_obj:
-            best_obj = obj
-            best_theta = net.get_flat()
+        if obj > best[0]:
+            best[:] = obj, net.get_flat()
 
-    step = 0
-    while step < n_steps:
-        if full_batch:
-            obj, grads = eval_grads(None)
+    batches = -(-n_rows // MINIBATCH)  # minibatches per epoch
+    for step in range(n_steps):
+        if n_rows <= FULL_BATCH_ROWS:
+            obj, grads = net.objective_and_gradients(*rows, *extra)
             record(obj)
-            _check_grads(grads, step)
-            opt.step(net.parameters(), grads)
-            step += 1
         else:
-            record(eval_obj())
-            perm = rng.permutation(n_rows)
-            for lo in range(0, n_rows, batch_size):
-                if step >= n_steps:
-                    break
-                idx = perm[lo:lo + batch_size]
-                _, grads = eval_grads(idx)
-                _check_grads(grads, step)
-                opt.step(net.parameters(), grads)
-                step += 1
-    record(eval_obj())
-    net.set_flat(best_theta)
+            if step % batches == 0:
+                record(net.objective(*rows, *extra))
+                perm = rng.permutation(n_rows)
+            lo = (step % batches) * MINIBATCH
+            idx = perm[lo:lo + MINIBATCH]
+            grads = net.objective_and_gradients(*(a[idx] for a in rows), *extra)[1]
+        for g in grads:
+            if not np.isfinite(g).all():
+                raise NonFiniteGradientError(step, f"gradient norm {np.linalg.norm(g)!r}")
+        opt.step(net.parameters(), grads)
+    record(net.objective(*rows, *extra))
+    net.set_flat(best[1])
     return np.array(history)
-
-
-def _check_grads(grads: list[np.ndarray], step: int) -> None:
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(step, f"gradient norm {np.linalg.norm(g)!r}")
 
 
 def train_softmax(net: SoftmaxPriorNet, D: np.ndarray, log_lik: np.ndarray,
                   config: TrainConfig | None = None, steps: int | None = None) -> np.ndarray:
     """Fit the softmax prior net by marginal-likelihood ascent; returns the objective trace."""
-    if config is None:
-        config = TrainConfig()
-    D = np.asarray(D, dtype=float)
-    log_lik = np.asarray(log_lik, dtype=float)
-    if not (np.isfinite(D).all() and np.isfinite(log_lik).all()):
-        raise ConfigError("training inputs must be finite")
-
-    def eval_obj():
-        return net.objective(D, log_lik)
-
-    def eval_grads(idx):
-        if idx is None:
-            return net.objective_and_gradients(D, log_lik)
-        return net.objective_and_gradients(D[idx], log_lik[idx])
-
-    return _train(net, eval_obj, eval_grads, D.shape[0], config, steps)
+    return _train(net, (D, log_lik), (), config, steps)
 
 
 def train_mdn(net: MdnPriorNet, D: np.ndarray, beta_bar: np.ndarray, sigma02: float,
               config: TrainConfig | None = None, steps: int | None = None) -> np.ndarray:
     """Fit the MDN prior net by marginal-likelihood ascent; returns the objective trace."""
-    if config is None:
-        config = TrainConfig()
-    D = np.asarray(D, dtype=float)
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    if not (np.isfinite(D).all() and np.isfinite(beta_bar).all()):
-        raise ConfigError("training inputs must be finite")
-
-    def eval_obj():
-        return net.objective(D, beta_bar, sigma02)
-
-    def eval_grads(idx):
-        if idx is None:
-            return net.objective_and_gradients(D, beta_bar, sigma02)
-        return net.objective_and_gradients(D[idx], beta_bar[idx], sigma02)
-
-    return _train(net, eval_obj, eval_grads, D.shape[0], config, steps)
+    return _train(net, (D, beta_bar), (sigma02,), config, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -417,105 +354,96 @@ def mdn_posterior_stats(beta_bar: np.ndarray, sigma02: float, weights: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _serialize_net(net: _DenseNet, architecture: dict) -> dict:
-    arrays = {
-        name: {"shape": list(p.shape), "data": p.ravel().tolist()}
-        for name, p in net.named_parameters()
-    }
-    return {"architecture": architecture, "arrays": arrays}
+class _NetPrior:
+    """Engine adapter around a network prior on per-covariate features.
 
-
-class SoftmaxPrior:
-    """Covariate-moderated mixture prior: weights are a network of the side info.
-
-    The first engine sweep trains the network from scratch (``steps``); later
-    sweeps warm-start from the previous parameters and take ``later_steps``
-    refinement steps, one training invocation per sweep.
+    The first engine sweep trains the network from scratch
+    (``train_config.steps``); later sweeps warm-start from the previous
+    parameters and take ``later_steps`` refinement steps, one training
+    invocation per sweep.  Subclasses set ``kind`` and the network class
+    ``net_type``, and define ``update``, which stores the fitted weights
+    (null mass in column 0) in ``_last_weights``.  ``params_dict`` writes
+    the architecture and every named parameter array.
     """
 
-    kind = "softmax"
+    kind: str
+    net_type: type[_DenseNet]
     side_kind = "features"
 
-    def __init__(self, D: np.ndarray, n_components: int = 20, hidden: int = 0,
-                 train_config: TrainConfig | None = None, grid: MixtureGrid | None = None):
-        if grid is None and n_components < 2:
-            raise ConfigError(f"need at least two mixture components, got {n_components}")
-        if hidden < 0:
-            raise ConfigError(f"hidden width must be non-negative, got {hidden}")
-        self.D = np.asarray(D, dtype=float)
-        self.train_config = train_config if train_config is not None else TrainConfig()
-        self.n_components = n_components if grid is None else grid.n_components
-        self.grid = grid
-        self.hidden = hidden
-        self.net = SoftmaxPriorNet(self.D.shape[1], self.n_components, hidden,
-                                   seed=self.train_config.seed)
-        self._trained = False
-        self._last_weights: np.ndarray | None = None
-
-    def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
-        if self.grid is None:
-            self.grid = default_grid(beta_bar, sigma02, self.n_components)
-        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid)
-        steps = self.train_config.steps if not self._trained else self.train_config.later_steps
-        train_softmax(self.net, self.D, log_lik, self.train_config, steps=steps)
-        self._trained = True
-        self._last_weights = self.net.forward(self.D)
-        return mixture_posterior_stats(beta_bar, sigma02, self.grid, self._last_weights)
-
-    def prior_null_mass(self) -> np.ndarray | None:
-        if self._last_weights is None:
-            return None
-        return self._last_weights[:, 0]
-
-    def params_dict(self) -> dict:
-        doc = _serialize_net(self.net, {
-            "type": "softmax",
-            "n_features": self.D.shape[1],
-            "n_components": self.n_components,
-            "hidden": self.hidden,
-        })
-        if self.grid is not None:
-            doc["variances"] = self.grid.variances.tolist()
-        return doc
-
-
-class MdnPrior:
-    """Mixture-density-network prior with covariate-dependent component locations."""
-
-    kind = "mdn"
-    side_kind = "features"
-
-    def __init__(self, D: np.ndarray, n_components: int = 5, hidden: int = 16,
-                 train_config: TrainConfig | None = None):
-        if n_components < 1:
-            raise ConfigError(f"need at least one Gaussian component, got {n_components}")
+    def __init__(self, D: np.ndarray, n_components: int, hidden: int,
+                 train_config: TrainConfig | None):
         if hidden < 0:
             raise ConfigError(f"hidden width must be non-negative, got {hidden}")
         self.D = np.asarray(D, dtype=float)
         self.train_config = train_config if train_config is not None else TrainConfig()
         self.n_components = n_components
         self.hidden = hidden
-        self.net = MdnPriorNet(self.D.shape[1], n_components, hidden, seed=self.train_config.seed)
-        self._trained = False
+        self.net = self.net_type(self.D.shape[1], n_components, hidden, seed=self.train_config.seed)
         self._last_weights: np.ndarray | None = None
 
-    def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
-        steps = self.train_config.steps if not self._trained else self.train_config.later_steps
-        train_mdn(self.net, self.D, beta_bar, sigma02, self.train_config, steps=steps)
-        self._trained = True
-        weights, means, variances = self.net.forward(self.D)
-        self._last_weights = weights
-        return mdn_posterior_stats(beta_bar, sigma02, weights, means, variances)
+    def _steps(self) -> int:
+        config = self.train_config
+        return config.steps if self._last_weights is None else config.later_steps
 
     def prior_null_mass(self) -> np.ndarray | None:
-        if self._last_weights is None:
-            return None
-        return self._last_weights[:, 0]
+        return None if self._last_weights is None else self._last_weights[:, 0]
 
     def params_dict(self) -> dict:
-        return _serialize_net(self.net, {
-            "type": "mdn",
+        architecture = {
+            "type": self.kind,
             "n_features": self.D.shape[1],
             "n_components": self.n_components,
             "hidden": self.hidden,
-        })
+        }
+        arrays = {
+            name: {"shape": list(p.shape), "data": p.ravel().tolist()}
+            for name, p in self.net.named_parameters()
+        }
+        return {"architecture": architecture, "arrays": arrays}
+
+
+class SoftmaxPrior(_NetPrior):
+    """Covariate-moderated mixture prior: weights are a network of the side info."""
+
+    kind = "softmax"
+    net_type = SoftmaxPriorNet
+
+    def __init__(self, D: np.ndarray, n_components: int = 20, hidden: int = 0,
+                 train_config: TrainConfig | None = None, grid: MixtureGrid | None = None):
+        if grid is None and n_components < 2:
+            raise ConfigError(f"need at least two mixture components, got {n_components}")
+        super().__init__(D, n_components if grid is None else grid.n_components, hidden,
+                         train_config)
+        self.grid = grid
+
+    def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
+        if self.grid is None:
+            self.grid = default_grid(beta_bar, sigma02, self.n_components)
+        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid)
+        train_softmax(self.net, self.D, log_lik, self.train_config, steps=self._steps())
+        self._last_weights = self.net.forward(self.D)
+        return mixture_posterior_stats(beta_bar, sigma02, self.grid, self._last_weights)
+
+    def params_dict(self) -> dict:
+        doc = super().params_dict()
+        if self.grid is not None:
+            doc["variances"] = self.grid.variances.tolist()
+        return doc
+
+
+class MdnPrior(_NetPrior):
+    """Mixture-density-network prior with covariate-dependent component locations."""
+
+    kind = "mdn"
+    net_type = MdnPriorNet
+
+    def __init__(self, D: np.ndarray, n_components: int = 5, hidden: int = 16,
+                 train_config: TrainConfig | None = None):
+        if n_components < 1:
+            raise ConfigError(f"need at least one Gaussian component, got {n_components}")
+        super().__init__(D, n_components, hidden, train_config)
+
+    def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
+        train_mdn(self.net, self.D, beta_bar, sigma02, self.train_config, steps=self._steps())
+        self._last_weights, means, variances = self.net.forward(self.D)
+        return mdn_posterior_stats(beta_bar, sigma02, self._last_weights, means, variances)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (run in process)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,37 @@ class TestFitCommand:
     @pytest.mark.parametrize("flags", [["--prior", "softmax", "--hidden", "-1"],
                                        ["--prior", "mdn", "--mdn-components", "0"]])
     def test_bad_network_size_is_single_line_error(self, regression_files, tmp_path, capsys, flags):
+        _, _, x_path, y_path = regression_files
+        side = tmp_path / "side.csv"
+        side.write_text("a\na\nb\nb\nb\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--side", str(side), "--out", str(out)]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prior, flags, hidden", [("mdn", [], 16), ("mdn", ["--hidden", "0"], 0),
+                                                      ("softmax", [], 0), ("softmax", ["--hidden", "3"], 3)])
+    def test_hidden_default_per_prior(self, regression_files, tmp_path, prior, flags, hidden):
+        _, _, x_path, y_path = regression_files
+        side = tmp_path / "side.csv"
+        side.write_text("a\na\nb\nb\nb\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--prior", prior, "--side", str(side),
+                     "--steps", "10", "--later-steps", "5", "--max-sweeps", "3", "--out", str(out)]
+                    + flags) == 0
+        params = json.loads(out.read_text())["prior"]["params"]
+        assert params["architecture"]["hidden"] == hidden
+        assert ("w1" in params["arrays"]) == (hidden > 0)
+
+    @pytest.mark.parametrize("flags", [["--prior", "softmax", "--learning-rate", "nan"],
+                                       ["--prior", "softmax", "--learning-rate", "inf"],
+                                       ["--prior", "mdn", "--learning-rate", "0"],
+                                       ["--elbo-tol", "nan"],
+                                       ["--elbo-tol", "inf"]])
+    def test_non_finite_hyperparameter_is_single_line_error(self, regression_files, tmp_path, capsys,
+                                                            flags):
         _, _, x_path, y_path = regression_files
         side = tmp_path / "side.csv"
         side.write_text("a\na\nb\nb\nb\n")

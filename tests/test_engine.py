@@ -514,6 +514,9 @@ class TestInitModes:
             FitConfig(max_sweeps=0)
         with pytest.raises(ConfigError):
             FitConfig(elbo_tol=0.0)
+        for tol in (np.nan, np.inf, -1e-6):
+            with pytest.raises(ConfigError, match="elbo_tol"):
+                FitConfig(elbo_tol=tol)
         with pytest.raises(ConfigError):
             FitConfig(variance_rule="bogus")
 

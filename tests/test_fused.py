@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from conftest import piecewise_image
 from nash.errors import ConfigError, DimensionMismatchError, QuadratureUnderflowError
@@ -11,6 +12,7 @@ from nash.fused import (
     FusedScales,
     Graph,
     MessageNet,
+    _log_norm_diff,
     _neighbor_matrix,
     _segment_moments,
     denoise_image,
@@ -43,6 +45,19 @@ def oracle_moments(beta_bar, sigma02, log_prior, points=100_000, width=10.0, cen
     mean = np.trapezoid(grid * joint, grid) / mass
     second = np.trapezoid(grid**2 * joint, grid) / mass
     return mean, second - mean**2, np.log(mass)
+
+
+def reference_log_norm_diff(a_std, c_std):
+    """log(Phi(c) - Phi(a)) from both CDF and both survival terms, keeping one pair per entry."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lower_cdf = log_ndtr(a_std)
+        upper_cdf = log_ndtr(c_std)
+        left = upper_cdf + np.log1p(-np.exp(np.minimum(lower_cdf - upper_cdf, 0.0)))
+        upper_sf = log_ndtr(-a_std)
+        lower_sf = log_ndtr(-c_std)
+        right = upper_sf + np.log1p(-np.exp(np.minimum(lower_sf - upper_sf, 0.0)))
+        out = np.where(a_std + c_std > 0, right, left)
+    return np.where(c_std > a_std, out, -np.inf)
 
 
 def reference_chain(p):
@@ -273,6 +288,25 @@ class TestFusedPosteriorStats:
         intercepts = np.array([[0.0, 0.0], [bad, bad]])
         with pytest.raises(QuadratureUnderflowError):
             _segment_moments(0.5, lo, hi, slopes, intercepts)
+
+    def test_log_norm_diff_matches_four_call_form(self, rng):
+        # infinite bounds, empty and reversed segments, both tails and the centre
+        a = rng.normal(0, 6, (4000, 3))
+        c = a + np.abs(rng.normal(0, 3, a.shape))
+        a[:, 0] = -np.inf
+        c[:, 2] = np.inf
+        a[1::4, 1], c[1::4, 1] = 30.0, 40.0
+        a[2::4, 1], c[2::4, 1] = -40.0, -30.0
+        c[::7, 1] = a[::7, 1]
+        c[::11, 1] = a[::11, 1] - 1.0
+        a[5, 2], c[5, 2] = np.inf, np.inf
+        a[6, 0], c[6, 0] = -np.inf, -np.inf
+        out = _log_norm_diff(a, c)
+        expected = reference_log_norm_diff(a, c)
+        assert out.tobytes() == expected.tobytes()
+        empty = (np.arange(4000) % 7 == 0) | (np.arange(4000) % 11 == 0)
+        assert np.isneginf(out[empty, 1]).all() and np.isneginf(out[5, 2]) and np.isneginf(out[6, 0])
+        assert np.isfinite(out[~empty, 1]).all()
 
     def test_null_probability_is_zero(self, rng):
         stats = fused_posterior_stats(rng.normal(0, 1, 6), 0.2,

@@ -1,9 +1,15 @@
 """Tests for the network priors: forward contracts, gradients, training behavior."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient, gradient_relative_error
+import nash
+from conftest import finite_difference_gradient, gradient_relative_error, random_regression
+from nash import nets
 from nash.ash import MixtureWeights, fit_weights_em, mixture_objective
 from nash.errors import ConfigError, DimensionMismatchError
 from nash.nets import (
@@ -30,7 +36,7 @@ def two_pass_reference(net, eval_obj, eval_grads, config):
     the gradients; returns the objective trace and restores the best
     parameters scored, as ``_train`` does.
     """
-    opt = Adam(net.parameters(), config.learning_rate, config.beta1, config.beta2, config.eps)
+    opt = Adam(net.parameters(), config.learning_rate)
     history = [eval_obj()]
     best_obj, best_theta = history[0], net.get_flat()
     for _ in range(config.steps):
@@ -95,6 +101,14 @@ class TestSoftmaxForward:
         net = SoftmaxPriorNet(3, 4)
         with pytest.raises(DimensionMismatchError):
             net.forward(np.ones(5))
+
+    def test_parameter_names_keep_model_file_names(self):
+        # model files name the output layer w/b alone and w2/b2 behind a hidden layer
+        names = [name for name, _ in SoftmaxPriorNet(3, 4, hidden=0).named_parameters()]
+        assert names == ["w", "b"]
+        net = SoftmaxPriorNet(3, 4, hidden=5)
+        assert [name for name, _ in net.named_parameters()] == ["w1", "b1", "w2", "b2"]
+        assert [p.shape for p in net.parameters()] == [(3, 5), (5,), (5, 4), (4,)]
 
 
 class TestSoftmaxGradients:
@@ -228,11 +242,14 @@ class TestTrainLoop:
         assert counts == {"objective": 1, "objective_and_gradients": 15}
 
     def test_minibatch_scores_once_per_epoch(self):
-        D, log_lik = self._softmax_problem()  # 60 rows: batches of 25 give 3 steps per epoch
+        # 5,000 rows, above the full-batch limit: minibatches of 1,024 give 5 steps per epoch
+        rng = np.random.default_rng(42)
+        D = np.eye(3)[rng.integers(0, 3, 5000)]
+        log_lik = rng.normal(0, 1.5, size=(5000, 6))
         net = SoftmaxPriorNet(3, 6, seed=0)
         counts = count_forward_calls(net)
-        history = train_softmax(net, D, log_lik, TrainConfig(steps=7, batch_size=25, seed=0))
-        epochs = 3  # 3 + 3 + 1 steps
+        history = train_softmax(net, D, log_lik, TrainConfig(steps=7, seed=0))
+        epochs = 2  # 5 + 2 steps
         assert counts == {"objective": epochs + 1, "objective_and_gradients": 7}
         assert history.shape == (epochs + 1,)
 
@@ -252,10 +269,15 @@ class TestTrainLoop:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("batch_size", [0, -4])
-    def test_batch_size_below_one_rejected(self, batch_size):
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, np.nan, np.inf])
+    def test_learning_rate_not_positive_and_finite_rejected(self, learning_rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("field", ["steps", "later_steps"])
+    def test_step_counts_below_one_rejected(self, field):
         with pytest.raises(ConfigError):
-            TrainConfig(batch_size=batch_size)
+            TrainConfig(**{field: 0})
 
     def test_fewer_than_two_softmax_components_rejected(self, rng):
         with pytest.raises(ConfigError):
@@ -300,6 +322,20 @@ class TestMdnForward:
         net = MdnPriorNet(3, n_components=2, hidden=4)
         with pytest.raises(DimensionMismatchError):
             net.forward(np.ones((2, 5)))
+
+    def test_zero_hidden_round_trips_through_flat_vector(self, rng):
+        net = MdnPriorNet(3, n_components=2, hidden=0, seed=4)
+        assert [name for name, _ in net.named_parameters()] == [
+            "w_pi", "b_pi", "w_mu", "b_mu", "w_var", "b_var"]
+        theta = rng.standard_normal(net.get_flat().size)
+        assert theta.size == (3 + 1) * (3 + 2 + 2)
+        net.set_flat(theta)
+        np.testing.assert_array_equal(net.get_flat(), theta)
+        np.testing.assert_array_equal(net.w_pi, theta[:9].reshape(3, 3))
+        for wrong in (theta[:-1], np.append(theta, 1.0)):
+            with pytest.raises(DimensionMismatchError):
+                net.set_flat(wrong)
+        np.testing.assert_array_equal(net.get_flat(), theta)  # untouched by a rejected vector
 
 
 class TestMdnPosterior:
@@ -421,3 +457,35 @@ class TestEngineAdapters:
         assert np.all(stats.null_prob >= 0) and np.all(stats.null_prob <= 1)
         arrays = prior.params_dict()["arrays"]
         assert set(arrays) == {"w1", "b1", "w_pi", "b_pi", "w_mu", "b_mu", "w_var", "b_var"}
+
+
+class TestTracerContract:
+    """The benchmark tracer patches nets by name; moving a patched name must fail here."""
+
+    @pytest.fixture(scope="class")
+    def spans(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up while defined
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[spec.name]
+        return module
+
+    @pytest.mark.parametrize("prior_cls", [SoftmaxPrior, MdnPrior])
+    def test_training_is_traced(self, spans, prior_cls):
+        X, y, _ = random_regression(3, n=30, p=6)
+        D = np.eye(2)[np.arange(6) % 2]
+        prior = prior_cls(D, n_components=3, hidden=2,
+                          train_config=TrainConfig(steps=5, later_steps=2, seed=0))
+        with spans.instrument(spans.Tracer()) as tracer:
+            nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.from_features(D), prior,
+                     nash.FitConfig(max_sweeps=3))
+        sweeps = tracer.counts["engine.sweeps"]
+        assert tracer.counts["nets.adam_steps"] == 5 + 2 * (sweeps - 1)
+        assert tracer.counts["nets.forward"] == tracer.counts["nets.adam_steps"] + sweeps
+        assert sum(s.name == "nets.train" for s in tracer.spans) == sweeps
+        assert nets.train_softmax.__name__ == "train_softmax"  # originals restored
+        assert "__wrapped__" not in vars(nets.Adam.step)
