@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .ash import AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, PosteriorSummary
 from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
 from .engine import FitConfig, FitResult, FitState, fit, predict
-from .fused import DenoiseConfig, FusedPrior, FusedScales, Graph, MessageNet, denoise_image
+from .fused import DenoiseConfig, FusedPrior, FusedScales, Graph, denoise_image
 from .nets import MdnPrior, MdnPriorNet, SoftmaxPrior, SoftmaxPriorNet, TrainConfig
 from .simulate import SimulationConfig, run_experiment, scaled_pred_perf
 
@@ -21,7 +21,6 @@ __all__ = [
     "Graph",
     "MdnPrior",
     "MdnPriorNet",
-    "MessageNet",
     "MixtureGrid",
     "MixtureWeights",
     "PosteriorStats",

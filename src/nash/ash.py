@@ -250,27 +250,19 @@ class AshPrior:
     kind = "ash"
     side_kind = "none"
 
-    def __init__(
-        self,
-        n_components: int = 20,
-        grid: MixtureGrid | None = None,
-        em_max_iter: int = 1000,
-        em_tol: float = 1e-8,
-    ):
+    def __init__(self, n_components: int = 20, grid: MixtureGrid | None = None):
         if grid is None and n_components < 2:
             raise ConfigError(f"need at least two mixture components, got {n_components}")
         self.n_components = n_components if grid is None else grid.n_components
         self.grid = grid
         self.weights: MixtureWeights | None = None
-        self.em_max_iter = em_max_iter
-        self.em_tol = em_tol
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
         if self.grid is None:
             self.grid = default_grid(beta_bar, sigma02, self.n_components)
         log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid)
         init = self.weights if self.weights is not None else MixtureWeights.uniform(self.grid.n_components)
-        self.weights = fit_weights_em(log_lik, init, max_iter=self.em_max_iter, tol=self.em_tol)
+        self.weights = fit_weights_em(log_lik, init)
         return mixture_posterior_stats(beta_bar, sigma02, self.grid, self.weights)
 
     def prior_null_mass(self) -> np.ndarray | None:

@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--sigma", type=float, default=None, help="noise standard deviation")
     p_den.add_argument("--sweeps", type=int, default=30)
     p_den.add_argument("--learn-scales", action="store_true",
-                       help="re-learn the Laplace scales every 5 sweeps (see README caveat)")
+                       help="re-learn the Laplace scales every 5 sweeps; needs --sweeps 5 or more "
+                            "(see README caveat)")
     p_den.add_argument("--s1", type=float, default=0.45)
     p_den.add_argument("--s2", type=float, default=0.15)
 

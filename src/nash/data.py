@@ -29,7 +29,6 @@ class Dataset:
 
     y: np.ndarray
     X: np.ndarray
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -156,8 +155,7 @@ def drop_constant_columns(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
         raise ConstantColumnError(0)
     if kept.size == dataset.p:
         return dataset, kept
-    names = tuple(dataset.names[i] for i in kept) if dataset.names else None
-    return Dataset(y=dataset.y, X=dataset.X[:, kept], names=names), kept
+    return Dataset(y=dataset.y, X=dataset.X[:, kept]), kept
 
 
 # ---------------------------------------------------------------------------

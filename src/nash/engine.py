@@ -55,7 +55,6 @@ class PriorModel(Protocol):
 class FitConfig:
     max_sweeps: int = 200
     elbo_tol: float = 1e-6
-    init_mode: str = "zero"  # "zero" | "provided"
     init_beta: np.ndarray | None = None
     init_sigma2: float | None = None
     init_sigma02: float | None = None
@@ -69,8 +68,6 @@ class FitConfig:
             raise ConfigError(f"elbo_tol must be positive and finite, got {self.elbo_tol}")
         if self.variance_rule not in VARIANCE_RULES:
             raise ConfigError(f"unknown variance rule {self.variance_rule!r}")
-        if self.init_mode not in ("zero", "provided"):
-            raise ConfigError(f"unknown init mode {self.init_mode!r}")
 
 
 @dataclass
@@ -144,7 +141,7 @@ def coefficient_variance(n: int, sigma2: float, sigma02: float) -> float:
 
 def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
     n, p = design.Xs.shape
-    if config.init_mode == "provided" and config.init_beta is not None:
+    if config.init_beta is not None:
         beta = np.asarray(config.init_beta, dtype=float).copy()
         if beta.shape != (p,):
             raise DimensionMismatchError("init_beta has the wrong length")

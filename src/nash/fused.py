@@ -3,8 +3,7 @@
 Each coordinate's prior is a product of Laplace factors: one centered at zero
 (sparsity) and one per available neighbor summary (smoothness).  On chain
 graphs both neighbors contribute their own factor; on arbitrary graphs a
-single factor is tied to an aggregated neighbor value, optionally produced
-by a small message-passing network.
+single factor is tied to the mean of the neighbor values.
 
 The log prior is piecewise linear, so the posterior against a Gaussian
 observation splits at the factor centers into segments whose masses and
@@ -244,45 +243,39 @@ def _segment_moments(sigma02: float, lo, hi, slopes, intercepts):
     return mean_u, variance, log_total
 
 
-def _prior_factors(neighbor_means: np.ndarray, scales: FusedScales):
-    """Effective neighbor factors: isolated nodes fall back to (0, s1)."""
-    nbr = np.asarray(neighbor_means, dtype=float)
-    if nbr.ndim == 1:
-        nbr = nbr[:, None]
-    isolated = ~np.isfinite(nbr).any(axis=1)
-    s2_col = np.where(isolated, scales.s1, scales.s2)
-    nbr_eff = nbr.copy()
-    if isolated.any():
-        nbr_eff[isolated] = np.nan
-        nbr_eff[isolated, 0] = 0.0
-    return nbr_eff, s2_col
-
-
-def _factor_arrays(nbr: np.ndarray, s1: float, s2_col: np.ndarray):
+def _factor_arrays(nbr: np.ndarray, scales: FusedScales):
     """Center and inverse-scale matrices for the sparsity + neighbor factors.
 
-    Missing neighbors become inert factors (inverse scale zero at center 0).
+    Missing neighbors become inert factors (inverse scale zero at center 0);
+    a node with no neighbor at all gets a second factor at 0 with scale s1.
     """
+    nbr = np.asarray(nbr, dtype=float)
+    if nbr.ndim == 1:
+        nbr = nbr[:, None]
     p, width = nbr.shape
+    finite = np.isfinite(nbr)
     mus = np.zeros((p, width + 1))
     inv = np.zeros((p, width + 1))
-    inv[:, 0] = 1.0 / s1
-    finite = np.isfinite(nbr)
+    inv[:, 0] = 1.0 / scales.s1
     mus[:, 1:] = np.where(finite, nbr, 0.0)
-    inv[:, 1:] = np.where(finite, (1.0 / s2_col)[:, None], 0.0)
+    inv[:, 1:] = np.where(finite, 1.0 / scales.s2, 0.0)
+    inv[~finite.any(axis=1), 1] = 1.0 / scales.s1
     return mus, inv
 
 
-def _fused_stats(beta_bar: np.ndarray, sigma02: float, nbr: np.ndarray, s1: float,
-                 s2_col: np.ndarray) -> PosteriorStats:
-    """Exact posterior stats for the fused prior with per-row smoothness scales.
+def fused_posterior_stats(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
+                          scales: FusedScales) -> PosteriorStats:
+    """Posteriors under the fused prior for all coordinates at once.
 
-    The prior's segments, built once in observation-centered coordinates,
-    serve both integrals: the posterior moments and log integral against the
-    Gaussian observation, and the prior's own normalizing constant.
+    Computed by exact segment-wise Gaussian integration (the log prior is
+    piecewise linear).  The prior's segments, built once in
+    observation-centered coordinates, serve both integrals: the posterior
+    moments and log integral against the Gaussian observation, and the
+    prior's own normalizing constant.  ``log_marginal`` is normalized by that
+    constant, so marginal likelihoods are comparable across scale settings.
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
-    mus, inv = _factor_arrays(nbr, s1, s2_col)
+    mus, inv = _factor_arrays(neighbor_means, scales)
     segments = _segments(mus - beta_bar[:, None], inv)
     mean_u, variance, log_integral = _segment_moments(sigma02, *segments)
     return PosteriorStats(
@@ -291,19 +284,6 @@ def _fused_stats(beta_bar: np.ndarray, sigma02: float, nbr: np.ndarray, s1: floa
         null_prob=np.zeros_like(mean_u),
         log_marginal=log_integral - _log_exp_integrals(*segments),
     )
-
-
-def fused_posterior_stats(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
-                          scales: FusedScales) -> PosteriorStats:
-    """Posteriors under the fused prior for all coordinates at once.
-
-    Computed by exact segment-wise Gaussian integration (the log prior is
-    piecewise linear).  ``log_marginal`` is normalized by the prior's exactly
-    integrated mass, so marginal likelihoods are comparable across scale
-    settings.
-    """
-    nbr, s2_col = _prior_factors(neighbor_means, scales)
-    return _fused_stats(beta_bar, sigma02, nbr, scales.s1, s2_col)
 
 
 def fused_log_marginal(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
@@ -370,60 +350,19 @@ def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-class MessageNet:
-    """Minimal two-layer message-passing network emitting (v1, log s2) per node.
-
-    Layer one mixes each node's features with the mean of its neighbors'
-    features through a rectified affine map; layer two repeats the mixing on
-    the hidden representation and reads out the two heads.  The smoothness
-    scale uses an exponential link, so it is always positive.
-    """
-
-    def __init__(self, n_features: int, hidden: int = 8, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.n_features = n_features
-        self.hidden = hidden
-        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(2 * n_features), size=(2 * n_features, hidden))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(2 * hidden), size=(2 * hidden, 2))
-        self.b2 = np.zeros(2)
-
-    def forward(self, features: np.ndarray, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features[:, None]
-        if features.shape != (graph.p, self.n_features):
-            raise DimensionMismatchError(
-                f"expected features of shape ({graph.p}, {self.n_features}), got {features.shape}"
-            )
-        agg = np.column_stack([graph.neighbor_mean(features[:, k])[0] for k in range(features.shape[1])])
-        h = np.maximum(np.hstack([features, agg]) @ self.w1 + self.b1, 0.0)
-        h_agg = np.column_stack([graph.neighbor_mean(h[:, k])[0] for k in range(h.shape[1])])
-        out = np.hstack([h, h_agg]) @ self.w2 + self.b2
-        return out[:, 0], np.exp(out[:, 1])
-
-
-def _neighbor_matrix(graph: Graph, b_bar: np.ndarray, net: MessageNet | None = None,
-                     features: np.ndarray | None = None):
-    """Batch neighbor summaries: (p, 2) for chains, (p, 1) otherwise.
-
-    Missing factors are NaN; with a network the second return value carries
-    the per-node scales, else None (global scale applies).
-    """
+def _neighbor_matrix(graph: Graph, b_bar: np.ndarray) -> np.ndarray:
+    """Batch neighbor summaries: (p, 2) for chains, (p, 1) otherwise; missing factors are NaN."""
     b_bar = np.asarray(b_bar, dtype=float)
-    if net is not None:
-        v1, s2 = net.forward(features if features is not None else b_bar[:, None], graph)
-        return v1[:, None], s2
     if graph.kind == "chain":
         nbr = np.full((graph.p, 2), np.nan)
         left = graph.dst < graph.src
         nbr[graph.src[left], 0] = b_bar[graph.dst[left]]
         nbr[graph.src[~left], 1] = b_bar[graph.dst[~left]]
-        return nbr, None
+        return nbr
     means, isolated = graph.neighbor_mean(b_bar)
     nbr = means[:, None].copy()
     nbr[isolated, 0] = np.nan
-    return nbr, None
+    return nbr
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +375,25 @@ class FusedPrior:
 
     Neighbor anchors are read from the previous sweep's latent means
     (Jacobi style), so all per-node posteriors within a sweep are
-    independent and the sweep is order-free.  With ``learn`` the global
-    scales are learned once, on the first update, and then held: re-learning
-    against anchors the fit itself produced collapses the smoothness scale
-    (see ``DenoiseConfig``).  A ``net`` supplies per-node anchors and
-    smoothness scales instead, and nothing is learned.
+    independent and the sweep is order-free.  The two global scales are
+    learned on the first update and then held: re-learning against anchors
+    the fit itself produced collapses the smoothness scale (see
+    ``DenoiseConfig``).
     """
 
     kind = "fused"
     side_kind = "graph"
 
-    def __init__(self, graph: Graph, scales: FusedScales | None = None, learn: bool = True,
-                 net: MessageNet | None = None, features: np.ndarray | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.scales = scales if scales is not None else FusedScales(0.45, 0.15)
-        self.learn = learn
-        self.net = net
-        self.features = features
+        self.scales: FusedScales | None = None
         self.b_prev = np.zeros(graph.p)
-        self._learned = False
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
-        nbr, s2_vec = _neighbor_matrix(self.graph, self.b_prev, self.net, self.features)
-        if s2_vec is not None:
-            # per-node scales from the network override the global smoothness scale
-            stats = _fused_stats(beta_bar, sigma02, nbr, self.scales.s1, np.asarray(s2_vec, dtype=float))
-        else:
-            if self.learn and not self._learned:
-                self.scales = learn_scales(beta_bar, sigma02, nbr)
-                self._learned = True
-            stats = fused_posterior_stats(beta_bar, sigma02, nbr, self.scales)
+        nbr = _neighbor_matrix(self.graph, self.b_prev)
+        if self.scales is None:
+            self.scales = learn_scales(beta_bar, sigma02, nbr)
+        stats = fused_posterior_stats(beta_bar, sigma02, nbr, self.scales)
         self.b_prev = stats.mean
         return stats
 
@@ -473,11 +401,10 @@ class FusedPrior:
         return None
 
     def params_dict(self) -> dict:
-        return {
-            "s1": self.scales.s1,
-            "s2": self.scales.s2,
-            "graph_kind": self.graph.kind,
-        }
+        params = {"graph_kind": self.graph.kind}
+        if self.scales is not None:
+            params.update(s1=self.scales.s1, s2=self.scales.s2)
+        return params
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +412,30 @@ class FusedPrior:
 # ---------------------------------------------------------------------------
 
 
+LEARN_EVERY = 5  # sweeps between scale learns in ``denoise_image``
+
+
 @dataclass
 class DenoiseConfig:
+    """Settings for ``denoise_image``.
+
+    The Laplace ``scales`` are used as given unless ``learn_scales`` is set,
+    which needs at least ``LEARN_EVERY`` sweeps.  Learning is opt-in: against
+    anchors the sweep itself produced, the exact marginal-likelihood optimum
+    collapses the smoothness scale and the denoiser then tracks the prior
+    instead of the data.
+    """
+
     sweeps: int = 30
     scales: FusedScales = FusedScales(0.45, 0.15)
-    # marginal-likelihood scale learning is opt-in: against anchors the sweep
-    # itself produced, its exact optimum collapses the smoothness scale and
-    # the denoiser then tracks the prior instead of the data
     learn_scales: bool = False
-    learn_every: int = 5
     noise_sd: float | None = None
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ConfigError(f"need at least one sweep, got {self.sweeps}")
-        if self.learn_every < 1:
-            raise ConfigError(f"learn_every must be at least 1, got {self.learn_every}")
+        if self.learn_scales and self.sweeps < LEARN_EVERY:
+            raise ConfigError(f"learning the scales needs at least {LEARN_EVERY} sweeps, got {self.sweeps}")
         if self.noise_sd is not None and not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise ConfigError(f"noise sd must be positive and finite, got {self.noise_sd}")
 
@@ -522,7 +457,7 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
     The image is treated as a normal-means problem: each pixel observes its
     own coefficient, so the dampening weight reduces to
     sigma0^2 / (sigma^2 + sigma0^2).  With ``learn_scales`` enabled the Laplace
-    scales are re-fit every ``learn_every`` sweeps (first a global search, then
+    scales are re-fit every ``LEARN_EVERY`` sweeps (first a global search, then
     warm-started refinements).  The returned matrix holds the final latent means.
     """
     if config is None:
@@ -550,8 +485,7 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
         omega = sigma02 / (sigma2 + sigma02)
         s_2 = 1.0 / (1.0 / sigma2 + 1.0 / sigma02)
         beta_bar = omega * y + (1.0 - omega) * b_bar
-        nbr, _ = _neighbor_matrix(graph, b_bar)
-        stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales)
+        stats = fused_posterior_stats(beta_bar, sigma02, _neighbor_matrix(graph, b_bar), scales)
         b_bar = stats.mean
         gap2 = float(np.sum(stats.variance + (beta_bar - b_bar) ** 2))
         t1 = (
@@ -563,12 +497,12 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
         t3 = float(stats.log_marginal.sum()) + 0.5 * n * math.log(2.0 * math.pi * sigma02) + gap2 / (2.0 * sigma02)
         elbo_trace.append(t1 + t2 + t3)
         data_term.append(float(np.sum((y - b_bar) ** 2)))
-        if config.learn_scales and t % config.learn_every == 0:
-            nbr_new, _ = _neighbor_matrix(graph, b_bar)
-            if t == config.learn_every:
-                scales = learn_scales(beta_bar, sigma02, nbr_new)
+        if config.learn_scales and t % LEARN_EVERY == 0:
+            nbr = _neighbor_matrix(graph, b_bar)
+            if t == LEARN_EVERY:
+                scales = learn_scales(beta_bar, sigma02, nbr)
             else:
-                scales = refine_scales(beta_bar, sigma02, nbr_new, scales)
+                scales = refine_scales(beta_bar, sigma02, nbr, scales)
         # observation-variance refinement is confined to a trust band around
         # the known/estimated level: letting it absorb the cold-start misfit
         # collapses the split variance and freezes the iteration

@@ -56,7 +56,7 @@ def model_document(result: FitResult, columns=None) -> dict:
         "config": {
             "max_sweeps": config.max_sweeps,
             "elbo_tol": config.elbo_tol,
-            "init_mode": config.init_mode,
+            "init_mode": "provided" if config.init_beta is not None else "zero",
             "variance_rule": config.variance_rule,
         },
         "seed": result.seed,

@@ -181,7 +181,7 @@ def simulate_dataset(config: SimulationConfig, seed):
     return X[:n], y[:n], X[n:], y[n:], b, sigma2_true
 
 
-def ash_fitter(n_components: int = 20, max_sweeps: int = 200, elbo_tol: float = 1e-6):
+def ash_fitter(n_components: int = 20, max_sweeps: int = 200):
     """Default benchmark method: the engine with the shared mixture prior."""
 
     def run(X_train, y_train, X_test, seed: int) -> dict:
@@ -189,7 +189,7 @@ def ash_fitter(n_components: int = 20, max_sweeps: int = 200, elbo_tol: float = 
             Dataset(y=y_train, X=X_train),
             SideInfo.none(),
             AshPrior(n_components=n_components),
-            FitConfig(max_sweeps=max_sweeps, elbo_tol=elbo_tol, seed=seed),
+            FitConfig(max_sweeps=max_sweeps, seed=seed),
         )
         return {
             "test": predict(result, X_test),

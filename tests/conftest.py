@@ -1,6 +1,9 @@
 """Shared test helpers."""
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +76,20 @@ def gradient_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric, dtype=float)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+@pytest.fixture(scope="session")
+def spans():
+    """The benchmark's tracer module, ``perfbench/spans.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up while defined
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture

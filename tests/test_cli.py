@@ -325,6 +325,16 @@ class TestDenoiseCommand:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_learn_scales_with_too_few_sweeps_rejected(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(str(src), piecewise_image(2, size=12))
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--image", str(src), "--out", str(out),
+                     "--learn-scales", "--sweeps", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--s1", "0"], ["--s2", "-1"], ["--s1", "nan"],
                                        ["--sigma", "-0.2"], ["--sigma", "0"], ["--sigma", "nan"]])
     def test_bad_scale_or_noise_is_single_line_error(self, tmp_path, capsys, flags):

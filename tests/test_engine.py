@@ -499,15 +499,26 @@ class TestInitModes:
         X, y, _ = random_regression(51, n=25, p=4)
         design = standardize(Dataset(y=y, X=X))
         init = np.array([0.5, -0.25, 0.0, 1.0])
-        state = init_state(design, FitConfig(init_mode="provided", init_beta=init))
+        state = init_state(design, FitConfig(init_beta=init))
         np.testing.assert_array_equal(state.beta_bar, init)
         np.testing.assert_allclose(state.r_bar, design.ys - design.Xs @ init, atol=1e-12)
+
+    def test_fit_starts_from_init_beta(self):
+        # init_beta alone is enough: the first sweep starts from it, not from zeros
+        X, y, _ = random_regression(53, n=20, p=4)
+        init = np.array([2.0, -1.0, 0.5, 3.0])
+        started = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=5),
+                      FitConfig(init_beta=init, max_sweeps=1))
+        zero = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=5),
+                   FitConfig(max_sweeps=1))
+        assert not np.array_equal(started.coefficients, zero.coefficients)
+        assert started.elbo_trace != zero.elbo_trace
 
     def test_provided_length_checked(self):
         X, y, _ = random_regression(52, n=25, p=4)
         design = standardize(Dataset(y=y, X=X))
         with pytest.raises(DimensionMismatchError):
-            init_state(design, FitConfig(init_mode="provided", init_beta=np.zeros(9)))
+            init_state(design, FitConfig(init_beta=np.zeros(9)))
 
     def test_bad_config_values_rejected(self):
         with pytest.raises(ConfigError):

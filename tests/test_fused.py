@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from conftest import piecewise_image
+import nash
+from conftest import piecewise_image, random_regression
+from nash import fused
 from nash.errors import ConfigError, DimensionMismatchError, QuadratureUnderflowError
 from nash.fused import (
     DenoiseConfig,
     FusedPrior,
     FusedScales,
+    LEARN_EVERY,
     Graph,
-    MessageNet,
     _log_norm_diff,
     _neighbor_matrix,
     _segment_moments,
@@ -167,7 +169,7 @@ class TestGraph:
         np.testing.assert_array_equal(graph.degrees, degrees)
         np.testing.assert_array_equal(graph.neighbor_mean(b)[0], means)
         np.testing.assert_array_equal(graph.neighbor_mean(b)[1], degrees == 0)
-        np.testing.assert_array_equal(_neighbor_matrix(graph, b)[0], nbr)
+        np.testing.assert_array_equal(_neighbor_matrix(graph, b), nbr)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ConfigError):
@@ -205,7 +207,7 @@ class TestGraph:
 
     def test_chain_subgraph_breaks_at_the_removed_node(self):
         graph = Graph.chain(5).subgraph([0, 1, 3, 4])
-        nbr, _ = _neighbor_matrix(graph, np.array([1.0, 2.0, 4.0, 5.0]))
+        nbr = _neighbor_matrix(graph, np.array([1.0, 2.0, 4.0, 5.0]))
         np.testing.assert_array_equal(nbr, [[np.nan, 2.0], [1.0, np.nan], [np.nan, 5.0], [4.0, np.nan]])
 
     def test_neighbor_mean_and_isolated_mask(self):
@@ -389,16 +391,15 @@ class TestNeighborSummary:
         # a chain keeps each neighbor as its own factor
         graph = Graph.chain(3)
         b = np.array([1.0, 9.0, 3.0])
-        nbr, s2 = _neighbor_matrix(graph, b)
+        nbr = _neighbor_matrix(graph, b)
         np.testing.assert_array_equal(nbr[1], [1.0, 3.0])
-        assert s2 is None
         np.testing.assert_array_equal(np.isnan(nbr[[0, 2]]), [[True, False], [False, True]])
 
     def test_isolated_fallback(self):
         # an isolated node has no neighbor factor; the prior falls back to (0, s1)
         graph = Graph.from_edges(2, [])
-        nbr, s2 = _neighbor_matrix(graph, np.array([1.0, 2.0]))
-        assert nbr.shape == (2, 1) and np.isnan(nbr).all() and s2 is None
+        nbr = _neighbor_matrix(graph, np.array([1.0, 2.0]))
+        assert nbr.shape == (2, 1) and np.isnan(nbr).all()
         scales = FusedScales(0.5, 0.2)
         stats = fused_posterior_stats(np.array([0.7, 0.7]), 0.3, nbr, scales)
         fallback = fused_posterior_stats(np.array([0.7]), 0.3, np.array([[0.0]]), FusedScales(0.5, 0.5))
@@ -407,36 +408,8 @@ class TestNeighborSummary:
     def test_grid_corner_uses_exactly_two_neighbors(self):
         graph = Graph.grid4(3, 3)
         b = np.arange(9.0)
-        nbr, _ = _neighbor_matrix(graph, b)
+        nbr = _neighbor_matrix(graph, b)
         assert nbr[0, 0] == pytest.approx((b[1] + b[3]) / 2.0)
-
-
-class TestMessageNet:
-    def test_positive_scales_and_shapes(self, rng):
-        graph = Graph.grid4(4, 5)
-        net = MessageNet(n_features=3, hidden=6, seed=0)
-        features = rng.standard_normal((20, 3))
-        v1, s2 = net.forward(features, graph)
-        assert v1.shape == (20,) and s2.shape == (20,)
-        assert np.all(s2 > 0)
-
-    def test_deterministic_forward(self, rng):
-        graph = Graph.chain(6)
-        net = MessageNet(n_features=1, hidden=4, seed=3)
-        features = rng.standard_normal((6, 1))
-        a = net.forward(features, graph)
-        b = net.forward(features, graph)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_neighbor_summary_reads_net_outputs(self, rng):
-        graph = Graph.chain(5)
-        net = MessageNet(n_features=1, hidden=4, seed=1)
-        b = rng.standard_normal(5)
-        v1_all, s2_all = net.forward(b[:, None], graph)
-        nbr, s2 = _neighbor_matrix(graph, b, net=net)
-        np.testing.assert_array_equal(nbr[:, 0], v1_all)
-        np.testing.assert_array_equal(s2, s2_all)
 
 
 class TestFusedPrior:
@@ -461,6 +434,7 @@ class TestFusedPrior:
     def test_learns_scales_once_by_default(self, rng):
         graph = Graph.chain(8)
         prior = FusedPrior(graph)
+        assert prior.scales is None and prior.params_dict() == {"graph_kind": "chain"}
         prior.update(rng.normal(0, 1, 8), 0.2)
         first = prior.scales
         prior.update(rng.normal(0, 1, 8), 0.2)
@@ -502,11 +476,19 @@ class TestDenoise:
         assert all(b >= a - 1e-8 for a, b in zip(elbo, elbo[1:]))
         assert all(b <= a + 1e-8 for a, b in zip(data_term, data_term[1:]))
 
-    @pytest.mark.parametrize("field", ["sweeps", "learn_every"])
+    @pytest.mark.parametrize("field", ["sweeps"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_config_counts_below_one_rejected(self, field, value):
         with pytest.raises(ConfigError):
             DenoiseConfig(learn_scales=True, **{field: value})
+
+    @pytest.mark.parametrize("sweeps", range(1, LEARN_EVERY))
+    def test_learn_scales_needs_enough_sweeps(self, sweeps):
+        # fewer sweeps would return the given scales without ever learning
+        with pytest.raises(ConfigError):
+            DenoiseConfig(learn_scales=True, sweeps=sweeps)
+        DenoiseConfig(learn_scales=False, sweeps=sweeps)
+        DenoiseConfig(learn_scales=True, sweeps=LEARN_EVERY)
 
     @pytest.mark.parametrize("noise_sd", [0.0, -0.2, np.nan, np.inf])
     def test_config_noise_sd_must_be_positive_and_finite(self, noise_sd):
@@ -516,3 +498,34 @@ class TestDenoise:
     def test_rejects_non_matrix(self):
         with pytest.raises(DimensionMismatchError):
             denoise_image(np.zeros(5), DenoiseConfig())
+
+
+class TestTracerContract:
+    """The benchmark tracer patches fused by name; moving a patched name must fail here."""
+
+    @staticmethod
+    def check_traced(spans, tracer, sweeps, learns):
+        posteriors = spans._outermost(tracer.spans, "fused.posterior", "fused.learn")
+        assert len(posteriors) == sweeps
+        assert len(spans._outermost(tracer.spans, "fused.learn")) == learns
+        assert tracer.counts["fused.learn_evals"] > 0
+        assert any(s.name == "fused.graph_build" for s in tracer.spans)
+        # originals restored
+        for func in (fused.fused_posterior_stats, fused.learn_scales, fused.refine_scales,
+                     fused.fused_log_marginal, fused.Graph.__init__, fused.Graph.grid4.__func__):
+            assert not hasattr(func, "__wrapped__")
+
+    def test_fit_is_traced(self, spans):
+        X, y, _ = random_regression(4, n=30, p=8)
+        with spans.instrument(spans.Tracer()) as tracer:
+            graph = nash.Graph.chain(8)
+            nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.from_graph(graph), nash.FusedPrior(graph),
+                     nash.FitConfig(max_sweeps=3))
+        self.check_traced(spans, tracer, tracer.counts["engine.sweeps"], learns=1)
+
+    def test_denoiser_is_traced(self, spans):
+        noisy = piecewise_image(2, size=16) + np.random.default_rng(2).normal(0, 0.2, (16, 16))
+        with spans.instrument(spans.Tracer()) as tracer:
+            denoise_image(noisy, DenoiseConfig(learn_scales=True, sweeps=10))
+        # a learn at sweep 5, a refine at sweep 10
+        self.check_traced(spans, tracer, 10, learns=2)

@@ -39,6 +39,13 @@ class TestModelFile:
         assert model.elbo_trace == result.elbo_trace
         np.testing.assert_allclose(predict_from_model(model, X), predict(result, X), atol=0)
 
+    def test_init_mode_records_whether_init_beta_was_given(self):
+        X, y, _ = random_regression(0, n=30, p=6)
+        given = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=5),
+                    FitConfig(init_beta=np.ones(6), max_sweeps=2))
+        assert model_document(given)["config"]["init_mode"] == "provided"
+        assert model_document(fitted_result()[1])["config"]["init_mode"] == "zero"
+
     def test_identical_seeds_identical_files(self, tmp_path):
         paths = []
         for run in range(2):

@@ -1,9 +1,5 @@
 """Tests for the network priors: forward contracts, gradients, training behavior."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -461,18 +457,6 @@ class TestEngineAdapters:
 
 class TestTracerContract:
     """The benchmark tracer patches nets by name; moving a patched name must fail here."""
-
-    @pytest.fixture(scope="class")
-    def spans(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look their module up while defined
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            del sys.modules[spec.name]
-        return module
 
     @pytest.mark.parametrize("prior_cls", [SoftmaxPrior, MdnPrior])
     def test_training_is_traced(self, spans, prior_cls):
