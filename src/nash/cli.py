@@ -90,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "'chain', 'grid:HxW', an edge-list file")
     p_fit.add_argument("--prior", choices=("ash", "softmax", "mdn", "fused"), default="ash")
     p_fit.add_argument("--out", required=True, help="output model JSON")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="seed for network-prior (softmax, mdn) training; ash and fused fits "
+                            "are deterministic without it")
     p_fit.add_argument("--max-sweeps", type=int, default=200)
     p_fit.add_argument("--elbo-tol", type=float, default=1e-6)
-    p_fit.add_argument("--variance-rule", choices=("exact-cavi", "fixed-point"),
-                       default="exact-cavi")
     p_fit.add_argument("--grid-size", type=int, default=20,
                        help="mixture components for ash/softmax priors")
     p_fit.add_argument("--hidden", type=int, default=None,
@@ -208,12 +208,7 @@ def cmd_fit(args) -> int:
             columns = kept
         dataset = reduced
     prior, side = _build_prior(args, p, columns, args.seed)
-    config = FitConfig(
-        max_sweeps=args.max_sweeps,
-        elbo_tol=args.elbo_tol,
-        variance_rule=args.variance_rule,
-        seed=args.seed,
-    )
+    config = FitConfig(max_sweeps=args.max_sweeps, elbo_tol=args.elbo_tol)
     result = fit(dataset, side, prior, config)
     save_model(result, args.out, columns=columns)
     print(

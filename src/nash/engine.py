@@ -29,7 +29,6 @@ from .errors import (
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-12
-VARIANCE_RULES = ("exact-cavi", "fixed-point", "frozen")
 
 
 class PriorModel(Protocol):
@@ -58,16 +57,18 @@ class FitConfig:
     init_beta: np.ndarray | None = None
     init_sigma2: float | None = None
     init_sigma02: float | None = None
-    variance_rule: str = "exact-cavi"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ConfigError("max_sweeps must be at least 1")
         if not 0 < self.elbo_tol < math.inf:
             raise ConfigError(f"elbo_tol must be positive and finite, got {self.elbo_tol}")
-        if self.variance_rule not in VARIANCE_RULES:
-            raise ConfigError(f"unknown variance rule {self.variance_rule!r}")
+        for name in ("init_sigma2", "init_sigma02"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.init_beta is not None and not np.isfinite(self.init_beta).all():
+            raise ConfigError("init_beta must be finite")
 
 
 @dataclass
@@ -80,7 +81,6 @@ class FitState:
     r_bar: np.ndarray
     sigma2: float
     sigma02: float
-    omega: float
     s_j2: float
     beta_mle: np.ndarray
     log_marginal: np.ndarray
@@ -104,7 +104,6 @@ class FitResult:
     prior_params: dict
     prior_null_mass: float
     config: FitConfig
-    seed: int
     fitted_values: np.ndarray
 
     @property
@@ -115,23 +114,14 @@ class FitResult:
         return self.summaries.summary(j)
 
 
-def blend_weight(col_norm2: float, sigma2: float, sigma02: float) -> float:
-    """Ridge-posterior mixing weight for a column with squared norm ``col_norm2``."""
-    if sigma2 <= 0 or sigma02 <= 0:
-        raise NonPositiveVarianceError("variances must be strictly positive")
-    return col_norm2 * sigma02 / (sigma2 + col_norm2 * sigma02)
-
-
 def dampening_weight(n: int, sigma2: float, sigma02: float) -> float:
     """Data-driven dampening weight omega = (n-1) sigma0^2 / (sigma^2 + (n-1) sigma0^2)."""
     if n < 2:
         raise ConfigError("need n >= 2")
-    return blend_weight(float(n - 1), sigma2, sigma02)
-
-
-def update_beta(ols_estimate: float, b_bar_j: float, omega: float) -> float:
-    """Convex blend of the least-squares estimate and the latent prior mean."""
-    return omega * ols_estimate + (1.0 - omega) * b_bar_j
+    if sigma2 <= 0 or sigma02 <= 0:
+        raise NonPositiveVarianceError("variances must be strictly positive")
+    m = float(n - 1)
+    return m * sigma02 / (sigma2 + m * sigma02)
 
 
 def coefficient_variance(n: int, sigma2: float, sigma02: float) -> float:
@@ -158,7 +148,6 @@ def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
         r_bar=design.ys - design.Xs @ beta,
         sigma2=sigma2,
         sigma02=sigma02,
-        omega=dampening_weight(n, sigma2, sigma02),
         s_j2=coefficient_variance(n, sigma2, sigma02),
         beta_mle=np.zeros(p),
         log_marginal=np.zeros(p),
@@ -197,56 +186,25 @@ def compute_elbo(state: FitState, design: StandardizedDesign) -> float:
     return t1 + t2 + t3
 
 
-def update_sigma2(
-    state: FitState,
-    design: StandardizedDesign,
-    rule: str = "exact-cavi",
-) -> float:
-    """Residual-variance update under the configured rule (floored at 1e-12)."""
+def update_sigma2(state: FitState, design: StandardizedDesign) -> float:
+    """Closed-form residual-variance update (floored at 1e-12)."""
     n, p = design.Xs.shape
     rss = float(state.r_bar @ state.r_bar)
-    if rule == "exact-cavi":
-        value = (rss + (n - 1) * p * state.s_j2) / n
-    elif rule == "fixed-point":
-        beta_mle_raw = (n - 1) * state.beta_mle
-        value = (rss + float(state.beta_bar @ (beta_mle_raw - state.beta_bar)) + state.sigma2 * p) / (n + p)
-    elif rule == "frozen":
-        return state.sigma2
-    else:
-        raise ConfigError(f"unknown variance rule {rule!r}")
+    value = (rss + (n - 1) * p * state.s_j2) / n
     return max(value, VARIANCE_FLOOR)
 
 
-def update_sigma02(
-    state: FitState,
-    design: StandardizedDesign | None = None,
-    rule: str = "exact-cavi",
-    prior_null_mean: float = 0.0,
-) -> float:
-    """Latent-gap variance update under the configured rule (floored at 1e-12)."""
-    p = state.beta_bar.size
-    if rule == "exact-cavi":
-        value = float(np.mean(state.s_j2 + state.b_var + (state.beta_bar - state.b_bar) ** 2))
-    elif rule == "fixed-point":
-        if design is None:
-            raise ConfigError("the fixed-point rule needs the design")
-        n = design.Xs.shape[0]
-        resid = design.ys - design.Xs @ state.b_bar
-        active = 1.0 - prior_null_mean
-        value = (
-            float(resid @ resid)
-            + float(state.b_bar @ (state.beta_bar - state.b_bar))
-            + state.sigma02 * p * active
-        ) / (n + p * active)
-    elif rule == "frozen":
-        return state.sigma02
-    else:
-        raise ConfigError(f"unknown variance rule {rule!r}")
+def update_sigma02(state: FitState) -> float:
+    """Closed-form latent-gap variance update (floored at 1e-12)."""
+    value = float(np.mean(state.s_j2 + state.b_var + (state.beta_bar - state.b_bar) ** 2))
     return max(value, VARIANCE_FLOOR)
 
 
-def _coordinate_pass(state: FitState, design: StandardizedDesign) -> None:
+def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) -> None:
     """One cycle of conjugate coefficient updates over all columns.
+
+    Each beta_j becomes the convex blend ``omega * ols + (1 - omega) * b_bar_j``
+    of its least-squares estimate and its latent prior mean.
 
     Works on one copy of the residual per sweep, so an ``r_bar`` array the
     caller still holds is left alone, and updates it in place with BLAS
@@ -259,7 +217,6 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign) -> None:
     n, p = Xs.shape
     columns = Xs.ravel(order="F")
     scale = n - 1
-    omega = state.omega
     beta = state.beta_bar.tolist()
     b_bar = state.b_bar.tolist()
     mle = [0.0] * p
@@ -269,7 +226,7 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign) -> None:
         old = beta[j]
         ols = ddot(columns, r, n, offset) / scale + old
         mle[j] = ols
-        new = update_beta(ols, b_bar[j], omega)
+        new = omega * ols + (1.0 - omega) * b_bar[j]
         if new != old:
             r = daxpy(columns, r, n, old - new, offset)
             beta[j] = new
@@ -279,17 +236,16 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign) -> None:
     state.posterior_fresh = False
 
 
-def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel, rule: str = "exact-cavi") -> FitState:
+def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> FitState:
     """One full coordinate-ascent sweep, recording the ELBO at its fresh point.
 
     Order of operations: coefficient pass, prior refit plus latent posterior
     refresh, ELBO evaluation (the only point in the sweep where the
-    subposterior identity holds), then the variance and dampening updates.
+    subposterior identity holds), then the variance updates.
     """
     n = design.Xs.shape[0]
     state.s_j2 = coefficient_variance(n, state.sigma2, state.sigma02)
-    state.omega = dampening_weight(n, state.sigma2, state.sigma02)
-    _coordinate_pass(state, design)
+    _coordinate_pass(state, design, dampening_weight(n, state.sigma2, state.sigma02))
     stats = prior.update(state.beta_bar, state.sigma02)
     state.b_bar = np.asarray(stats.mean, dtype=float)
     state.b_var = np.asarray(stats.variance, dtype=float)
@@ -297,15 +253,11 @@ def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel, rule: 
     state.log_marginal = np.asarray(stats.log_marginal, dtype=float)
     state.posterior_fresh = True
     state.elbo_trace.append(compute_elbo(state, design))
-    null_mass = prior.prior_null_mass()
-    prior_null_mean = float(np.mean(null_mass)) if null_mass is not None else 0.0
-    state.sigma2 = update_sigma2(state, design, rule)
-    state.sigma02 = update_sigma02(state, design, rule, prior_null_mean)
-    state.omega = dampening_weight(n, state.sigma2, state.sigma02)
-    if rule != "frozen":
-        # the subposterior identity behind term 3 is tied to the sigma02 the
-        # normal-means step ran with, so new variances invalidate the ELBO point
-        state.posterior_fresh = False
+    state.sigma2 = update_sigma2(state, design)
+    state.sigma02 = update_sigma02(state)
+    # the subposterior identity behind term 3 is tied to the sigma02 the
+    # normal-means step ran with, so new variances invalidate the ELBO point
+    state.posterior_fresh = False
     state.sweep_count += 1
     return state
 
@@ -315,8 +267,8 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
 
     Runs sweeps until the relative ELBO change drops below ``config.elbo_tol``
     or ``config.max_sweeps`` is reached; failure to converge is reported via
-    the flag on the result, not an exception.  Identical inputs and seeds give
-    bit-identical results.
+    the flag on the result, not an exception.  Identical inputs (and, for
+    network priors, identical training seeds) give bit-identical results.
     """
     if config is None:
         config = FitConfig()
@@ -329,7 +281,7 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
     state = init_state(design, config)
     converged = False
     for _ in range(config.max_sweeps):
-        sweep(state, design, prior, config.variance_rule)
+        sweep(state, design, prior)
         if len(state.elbo_trace) >= 2:
             cur, prev = state.elbo_trace[-1], state.elbo_trace[-2]
             if abs(cur - prev) <= config.elbo_tol * (1.0 + abs(cur)):
@@ -355,7 +307,6 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
         prior_params=prior.params_dict(),
         prior_null_mass=float(np.mean(null_mass)) if null_mass is not None else 0.0,
         config=config,
-        seed=config.seed,
         fitted_values=fitted,
     )
 

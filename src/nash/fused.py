@@ -443,6 +443,9 @@ class DenoiseConfig:
 def estimate_noise_sd(image: np.ndarray) -> float:
     """Robust noise estimate from first differences (median absolute deviation)."""
     diffs = np.concatenate([np.diff(image, axis=0).ravel(), np.diff(image, axis=1).ravel()])
+    if diffs.size == 0:
+        raise ConfigError("a 1x1 image has no pixel differences to estimate the noise from; "
+                          "pass a noise sd (noise_sd, or --sigma)")
     return float(np.median(np.abs(diffs)) / (math.sqrt(2.0) * 0.6744897501960817))
 
 

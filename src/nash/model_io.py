@@ -1,7 +1,7 @@
 """Versioned JSON persistence for fitted models.
 
 Documents are serialized canonically (sorted keys, compact separators), so
-serialize -> parse -> serialize is byte-identical and equal seeds yield
+serialize -> parse -> serialize is byte-identical and equal fits yield
 equal files.
 """
 
@@ -31,7 +31,6 @@ class ModelFile:
     sigma02: float
     elbo_trace: list[float]
     config: dict
-    seed: int
     columns: list[int] | None = None
 
     @property
@@ -57,9 +56,7 @@ def model_document(result: FitResult, columns=None) -> dict:
             "max_sweeps": config.max_sweeps,
             "elbo_tol": config.elbo_tol,
             "init_mode": "provided" if config.init_beta is not None else "zero",
-            "variance_rule": config.variance_rule,
         },
-        "seed": result.seed,
         "columns": list(map(int, columns)) if columns is not None else None,
     }
 
@@ -88,7 +85,6 @@ def load_model(path: str) -> ModelFile:
             sigma02=float(doc["sigma02"]),
             elbo_trace=[float(v) for v in doc["elbo_trace"]],
             config=doc.get("config", {}),
-            seed=int(doc.get("seed", 0)),
             columns=doc.get("columns"),
         )
     except (KeyError, TypeError, ValueError) as exc:

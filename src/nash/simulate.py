@@ -182,14 +182,14 @@ def simulate_dataset(config: SimulationConfig, seed):
 
 
 def ash_fitter(n_components: int = 20, max_sweeps: int = 200):
-    """Default benchmark method: the engine with the shared mixture prior."""
+    """Default benchmark method: the engine with the shared mixture prior (deterministic, seed unused)."""
 
     def run(X_train, y_train, X_test, seed: int) -> dict:
         result = fit(
             Dataset(y=y_train, X=X_train),
             SideInfo.none(),
             AshPrior(n_components=n_components),
-            FitConfig(max_sweeps=max_sweeps, seed=seed),
+            FitConfig(max_sweeps=max_sweeps),
         )
         return {
             "test": predict(result, X_test),

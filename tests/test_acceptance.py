@@ -52,8 +52,7 @@ def test_a1_elbo_monotonicity():
         b = np.zeros(p)
         b[rng.choice(p, size=s, replace=False)] = rng.standard_normal(s)
         y = X @ b + rng.standard_normal(n)
-        result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=10),
-                     FitConfig(variance_rule="exact-cavi"))
+        result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=10), FitConfig())
         drops = -np.diff(result.elbo_trace)
         if drops.size:
             worst = max(worst, float(drops.max()))
@@ -244,11 +243,11 @@ def test_a6_desk_scale_recovery():
         D = np.zeros((p, 2))
         D[:100, 0] = 1.0
         D[100:, 1] = 1.0
-        plain = fit(Dataset(y=y_tr, X=X_tr), SideInfo.none(), AshPrior(10), FitConfig(seed=rep))
+        plain = fit(Dataset(y=y_tr, X=X_tr), SideInfo.none(), AshPrior(10), FitConfig())
         plain_rmse.append(rmse(y_te, predict(plain, X_te)))
         prior = SoftmaxPrior(D, n_components=10,
                              train_config=TrainConfig(steps=300, later_steps=30, seed=rep))
-        grouped = fit(Dataset(y=y_tr, X=X_tr), SideInfo.from_features(D), prior, FitConfig(seed=rep))
+        grouped = fit(Dataset(y=y_tr, X=X_tr), SideInfo.from_features(D), prior, FitConfig())
         grouped_rmse.append(rmse(y_te, predict(grouped, X_te)))
     mean_plain = float(np.mean(plain_rmse))
     mean_grouped = float(np.mean(grouped_rmse))

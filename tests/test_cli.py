@@ -220,8 +220,7 @@ class TestPredictCommand:
         pred_path = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model), "--x", x_path, "--out", str(pred_path)]) == 0
         predictions = np.array([float(line) for line in pred_path.read_text().splitlines()])
-        reference = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=20),
-                        FitConfig(seed=4))
+        reference = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=20), FitConfig())
         np.testing.assert_allclose(predictions, reference.fitted_values, atol=1e-10)
 
     def test_empty_input_rejected(self, regression_files, tmp_path, capsys):
@@ -323,6 +322,16 @@ class TestDenoiseCommand:
         assert main(["denoise", "--image", str(src), "--out", str(out), "--sweeps", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_single_pixel_without_noise_sd_rejected(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(str(src), np.full((1, 1), 0.5))
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--image", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--sigma" in err
         assert not out.exists()
 
     def test_learn_scales_with_too_few_sweeps_rejected(self, tmp_path, capsys):

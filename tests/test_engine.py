@@ -13,7 +13,6 @@ from nash.data import Dataset, SideInfo, standardize
 from nash.engine import (
     FitConfig,
     _coordinate_pass,
-    blend_weight,
     compute_elbo,
     coefficient_variance,
     dampening_weight,
@@ -22,7 +21,6 @@ from nash.engine import (
     init_state,
     predict,
     sweep,
-    update_beta,
     update_sigma02,
     update_sigma2,
 )
@@ -78,16 +76,6 @@ class TestScalarOps:
         with pytest.raises(NonPositiveVarianceError):
             dampening_weight(10, 0.0, 1.0)
 
-    def test_update_beta_blend(self):
-        assert update_beta(2.0, 0.0, 0.5) == 1.0
-
-    def test_update_beta_endpoints(self):
-        assert update_beta(3.3, -1.2, 1.0) == 3.3
-        assert update_beta(3.3, -1.2, 0.0) == -1.2
-
-    def test_identity_design_weight(self):
-        assert blend_weight(1.0, 1.0, 1.0) == pytest.approx(0.5)
-
 
 class TestPartialResidual:
     """The pass regresses each column on its partial residual r + x_j beta_j.
@@ -102,8 +90,7 @@ class TestPartialResidual:
         state.beta_bar = np.array(beta, dtype=float)
         state.b_bar = state.beta_bar.copy()
         state.r_bar = design.ys - design.Xs @ state.beta_bar
-        state.omega = 0.0
-        _coordinate_pass(state, design)
+        _coordinate_pass(state, design, 0.0)
         np.testing.assert_array_equal(state.beta_bar, beta)
         return state
 
@@ -135,15 +122,15 @@ class TestPartialResidual:
             assert state.beta_mle[j] == pytest.approx(float(x_j @ direct) / float(x_j @ x_j), abs=1e-10)
 
 
-def textbook_coordinate_pass(state, design):
-    """Reference pass: form each partial residual, regress on it, subtract the new effect."""
+def textbook_coordinate_pass(state, design, omega):
+    """Reference pass: form each partial residual, regress on it, blend, subtract the new effect."""
     r = state.r_bar
     for j in range(design.p):
         x_j = design.Xs[:, j]
         r_j = r + x_j * state.beta_bar[j]
         ols = float(x_j @ r_j) / (design.n - 1)
         state.beta_mle[j] = ols
-        state.beta_bar[j] = update_beta(ols, state.b_bar[j], state.omega)
+        state.beta_bar[j] = omega * ols + (1.0 - omega) * state.b_bar[j]
         r = r_j - x_j * state.beta_bar[j]
     state.r_bar = r
 
@@ -162,9 +149,10 @@ class TestCoordinatePass:
         design = dataclasses.replace(design, Xs=np.asarray(design.Xs, order=order))
         state = self._state(design, rng)
         expected = copy.deepcopy(state)
+        omega = dampening_weight(design.n, state.sigma2, state.sigma02)
         for _ in range(3):
-            _coordinate_pass(state, design)
-            textbook_coordinate_pass(expected, design)
+            _coordinate_pass(state, design, omega)
+            textbook_coordinate_pass(expected, design, omega)
         np.testing.assert_allclose(state.beta_bar, expected.beta_bar, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.beta_mle, expected.beta_mle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.r_bar, expected.r_bar, rtol=0, atol=1e-12)
@@ -175,16 +163,24 @@ class TestCoordinatePass:
         state = self._state(design, rng)
         held = state.r_bar
         before = held.copy()
-        _coordinate_pass(state, design)
+        _coordinate_pass(state, design, dampening_weight(design.n, state.sigma2, state.sigma02))
         np.testing.assert_array_equal(held, before)
         assert state.r_bar is not held
         np.testing.assert_allclose(state.r_bar, design.ys - design.Xs @ state.beta_bar, atol=1e-12)
 
 
-def run_sweeps(design, prior, config, sweeps):
+def held_variance_sweep(state, design, prior):
+    """A sweep that keeps sigma2 and sigma02, so its ELBO point stays fresh."""
+    sigma2, sigma02 = state.sigma2, state.sigma02
+    sweep(state, design, prior)
+    state.sigma2, state.sigma02 = sigma2, sigma02
+    state.posterior_fresh = True
+
+
+def run_sweeps(design, prior, config, sweeps, step=sweep):
     state = init_state(design, config)
     for _ in range(sweeps):
-        sweep(state, design, prior, config.variance_rule)
+        step(state, design, prior)
     return state
 
 
@@ -192,9 +188,10 @@ class TestSweep:
     def test_single_coordinate_reduces_to_ols(self):
         # near-degenerate dampening (omega ~ 1) recovers the least-squares slope
         design = make_design(p=1)
-        config = FitConfig(variance_rule="frozen", init_sigma2=1e-8, init_sigma02=10.0)
+        config = FitConfig(init_sigma2=1e-8, init_sigma02=10.0)
         state = run_sweeps(design, FixedMixturePrior(
-            MixtureGrid(np.array([0.0, 1.0])), MixtureWeights(np.array([0.0, 1.0]))), config, 1)
+            MixtureGrid(np.array([0.0, 1.0])), MixtureWeights(np.array([0.0, 1.0]))), config, 1,
+            step=held_variance_sweep)
         slope = float(design.Xs[:, 0] @ design.ys) / (design.n - 1)
         assert state.beta_bar[0] == pytest.approx(slope, rel=1e-6)
 
@@ -266,9 +263,7 @@ class TestVarianceUpdates:
     def _fresh_state(self, seed=13):
         design = make_design(seed=seed, n=35, p=6)
         prior = AshPrior(n_components=6)
-        state = init_state(design, FitConfig(variance_rule="frozen"))
-        for _ in range(2):
-            sweep(state, design, prior, rule="frozen")
+        state = run_sweeps(design, prior, FitConfig(), 2, step=held_variance_sweep)
         return design, state
 
     def test_perfect_fit_clamps_to_floor(self):
@@ -282,7 +277,7 @@ class TestVarianceUpdates:
         state.b_bar = state.beta_bar.copy()
         state.b_var = np.zeros(design.p)
         state.s_j2 = 0.37
-        assert update_sigma02(state, design) == pytest.approx(0.37, rel=1e-12)
+        assert update_sigma02(state) == pytest.approx(0.37, rel=1e-12)
 
     def test_exact_cavi_maximizes_elbo_in_sigma2(self):
         design, state = self._fresh_state()
@@ -299,7 +294,7 @@ class TestVarianceUpdates:
         # E log g/q_b, a constant of the posteriors), so that is the
         # functional the coordinate update must maximize
         design, state = self._fresh_state(seed=21)
-        optimum = update_sigma02(state, design)
+        optimum = update_sigma02(state)
         def t2_at(sigma02):
             probe = copy.deepcopy(state)
             probe.sigma02 = sigma02
@@ -314,19 +309,6 @@ class TestVarianceUpdates:
         probe = copy.deepcopy(state)
         probe.sigma2 = state.sigma2 * 2.0
         assert elbo_terms(probe, design)[0] < t1_at_opt
-
-    def test_paper_fixed_point_rule_runs(self):
-        design = make_design(seed=6)
-        result = fit(Dataset(y=design.ys + design.y_mean, X=design.Xs * 1.0),
-                     SideInfo.none(), AshPrior(n_components=4),
-                     FitConfig(variance_rule="fixed-point", max_sweeps=25))
-        assert np.isfinite(result.elbo_trace).all()
-        assert result.state.sigma2 > 0 and result.state.sigma02 > 0
-
-    def test_unknown_rule_rejected(self):
-        design, state = self._fresh_state()
-        with pytest.raises(ConfigError):
-            update_sigma2(state, design, rule="bogus")
 
 
 class TestElbo:
@@ -343,7 +325,7 @@ class TestElbo:
         design = standardize(Dataset(y=y, X=X))
         prior = FixedMixturePrior(MixtureGrid(np.array([0.0, 0.2, 1.0])),
                                   MixtureWeights(np.array([0.4, 0.3, 0.3])))
-        state = run_sweeps(design, prior, FitConfig(variance_rule="frozen"), 4)
+        state = run_sweeps(design, prior, FitConfig(), 4, step=held_variance_sweep)
         baseline = compute_elbo(state, design)
         perm = rng.permutation(6)
         permuted_design = type(design)(
@@ -371,8 +353,8 @@ class TestElbo:
         sigma2, sigma02 = 0.5, 0.3
         prior = FixedMixturePrior(MixtureGrid(np.array([0.0, sigma12])),
                                   MixtureWeights(np.array([0.0, 1.0])))
-        config = FitConfig(variance_rule="frozen", init_sigma2=sigma2, init_sigma02=sigma02)
-        state = run_sweeps(design, prior, config, 6)
+        config = FitConfig(init_sigma2=sigma2, init_sigma02=sigma02)
+        state = run_sweeps(design, prior, config, 6, step=held_variance_sweep)
         analytic = compute_elbo(state, design)
 
         n = design.n
@@ -412,8 +394,7 @@ class TestFit:
             rng = np.random.default_rng(1000 + seed)
             X = rng.standard_normal((50, 20))
             y = rng.standard_normal(50)
-            result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=10),
-                         FitConfig(seed=seed))
+            result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=10), FitConfig())
             null_masses.append(result.prior_null_mass)
         assert float(np.median(null_masses)) >= 0.8
 
@@ -425,9 +406,8 @@ class TestFit:
         sigma2, sigma02, sigma12 = 0.4, 0.25, 1.5
         prior = FixedMixturePrior(MixtureGrid(np.array([0.0, sigma12])),
                                   MixtureWeights(np.array([0.0, 1.0])))
-        config = FitConfig(variance_rule="frozen", init_sigma2=sigma2, init_sigma02=sigma02,
-                           max_sweeps=400, elbo_tol=1e-14)
-        state = run_sweeps(design, prior, config, 300)
+        config = FitConfig(init_sigma2=sigma2, init_sigma02=sigma02, max_sweeps=400, elbo_tol=1e-14)
+        state = run_sweeps(design, prior, config, 300, step=held_variance_sweep)
         prior_var = sigma02 + sigma12
         n = design.n
         xty = float(design.Xs[:, 0] @ design.ys)
@@ -445,7 +425,7 @@ class TestFit:
     def test_deterministic_given_seed(self):
         X, y, _ = random_regression(41, n=40, p=12)
         results = [
-            fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=8), FitConfig(seed=7))
+            fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=8), FitConfig())
             for _ in range(2)
         ]
         np.testing.assert_array_equal(results[0].coefficients, results[1].coefficients)
@@ -528,8 +508,13 @@ class TestInitModes:
         for tol in (np.nan, np.inf, -1e-6):
             with pytest.raises(ConfigError, match="elbo_tol"):
                 FitConfig(elbo_tol=tol)
-        with pytest.raises(ConfigError):
-            FitConfig(variance_rule="bogus")
+        for name in ("init_sigma2", "init_sigma02"):
+            for value in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ConfigError, match=name):
+                    FitConfig(**{name: value})
+        for beta in (np.array([0.0, np.nan]), np.array([np.inf, 1.0])):
+            with pytest.raises(ConfigError, match="init_beta"):
+                FitConfig(init_beta=beta)
 
 
 class TestNetworkPriorElbo:
@@ -552,5 +537,5 @@ class TestNetworkPriorElbo:
             MdnPrior(D, n_components=2, hidden=4, train_config=TrainConfig(steps=60, later_steps=15, seed=0)),
         ):
             result = fit(Dataset(y=y, X=X), SideInfo.from_features(D), prior,
-                         FitConfig(max_sweeps=25, seed=0))
+                         FitConfig(max_sweeps=25))
             assert result.elbo_trace[-1] >= result.elbo_trace[0]

@@ -18,8 +18,7 @@ from nash.pgm import read_pgm, write_pgm
 
 def fitted_result(seed=0):
     X, y, _ = random_regression(seed, n=30, p=6)
-    return X, fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=5),
-                  FitConfig(seed=seed))
+    return X, fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=5), FitConfig())
 
 
 class TestModelFile:
@@ -78,15 +77,19 @@ class TestModelFile:
             load_model(str(path))
 
     def test_fused_model_with_quadrature_nodes_still_loads(self, tmp_path):
-        # older fused model files carry a "gh_nodes" prior parameter; they
-        # must still load and predict
+        # older model files carry a fused "gh_nodes" prior parameter, a
+        # top-level "seed" and a "variance_rule" setting; they must still load
+        # and predict
         X, y, _ = random_regression(2, n=30, p=6)
         graph = Graph.chain(6)
         result = fit(Dataset(y=y, X=X), SideInfo.from_graph(graph), FusedPrior(graph),
                      FitConfig(max_sweeps=5))
         doc = model_document(result)
         assert "gh_nodes" not in doc["prior"]["params"]
+        assert "seed" not in doc and "variance_rule" not in doc["config"]
         doc["prior"]["params"]["gh_nodes"] = 32
+        doc["seed"] = 7
+        doc["config"]["variance_rule"] = "exact-cavi"
         path = tmp_path / "old.json"
         path.write_text(dumps_canonical(doc))
         model = load_model(str(path))
