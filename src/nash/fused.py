@@ -9,6 +9,11 @@ The log prior is piecewise linear, so the posterior against a Gaussian
 observation splits at the factor centers into segments whose masses and
 moments are exact Gaussian tail expressions; the prior's normalizing
 constant is a sum of exact exponential integrals.
+
+The arrays are factor-major: a node's F factors and S = F+1 segments are rows
+of (F, p) and (S, p) arrays, so reductions across segments are elementwise ops
+on contiguous rows.  A compare-swap network sorts the breakpoints, and each
+segment's intercept has a closed form over the factors to its left.
 """
 
 from __future__ import annotations
@@ -152,44 +157,44 @@ def fused_log_density(b, left_mean: float | None, right_mean: float | None,
 
 
 def _segments(mus: np.ndarray, inv_scales: np.ndarray):
-    """Split each row's piecewise-linear log prior at its factor centers.
+    """Split each node's piecewise-linear log prior at its factor centers.
 
-    ``mus`` and ``inv_scales`` are (p, F); a factor with inverse scale zero is
-    inert (it contributes no slope change, so its breakpoint is harmless).
-    Returns per-segment bounds, slopes and intercepts, all (p, F+1), with the
-    leftmost/rightmost bounds at -/+ infinity.
+    ``mus`` and ``inv_scales`` are (F, p); a factor with inverse scale zero is
+    inert.  F(F-1)/2 compare-swaps sort the rows (ties never swap).  With sums
+    over the factors left of segment k, its slope is ``total - 2*prefix`` and
+    its intercept ``2*cumsum(inv*mu) - sum(inv*mu)``.  Returns the sorted
+    breakpoints (F, p) and the slopes and intercepts (S, p).
     """
-    p, f = mus.shape
-    order = np.argsort(mus, axis=1)
-    bps = np.take_along_axis(mus, order, axis=1)
-    inv_sorted = np.take_along_axis(inv_scales, order, axis=1)
-    total = inv_sorted.sum(axis=1, keepdims=True)
-    prefix = np.concatenate([np.zeros((p, 1)), np.cumsum(inv_sorted, axis=1)], axis=1)
-    slopes = total - 2.0 * prefix
-    lo = np.concatenate([np.full((p, 1), -np.inf), bps], axis=1)
-    hi = np.concatenate([bps, np.full((p, 1), np.inf)], axis=1)
-    ref = np.where(
-        np.isfinite(lo) & np.isfinite(hi),
-        0.5 * (lo + hi),
-        np.where(np.isfinite(hi), hi - 1.0, lo + 1.0),
-    )
-    log_u_ref = -(np.abs(ref[:, :, None] - mus[:, None, :]) * inv_scales[:, None, :]).sum(axis=2)
-    intercepts = log_u_ref - slopes * ref
-    return lo, hi, slopes, intercepts
+    bps, inv = list(mus), list(inv_scales)
+    for top in range(len(bps) - 1, 0, -1):
+        for k in range(top):
+            swap = bps[k] > bps[k + 1]
+            bps[k], bps[k + 1] = np.minimum(bps[k], bps[k + 1]), np.maximum(bps[k], bps[k + 1])
+            inv[k], inv[k + 1] = np.where(swap, inv[k + 1], inv[k]), np.where(swap, inv[k], inv[k + 1])
+    bps, inv = np.array(bps), np.array(inv)
+    zero = np.zeros_like(bps[:1])
+    prefix = np.cumsum(np.vstack([zero, inv]), axis=0)
+    weighted = np.cumsum(np.vstack([zero, inv * bps]), axis=0)
+    return bps, prefix[-1] - 2.0 * prefix, 2.0 * weighted - weighted[-1]
 
 
-def _log_exp_integrals(lo, hi, slopes, intercepts) -> np.ndarray:
-    """log integral of exp(intercept + slope*u) over each segment, summed per row."""
-    width = hi - lo
+def _log_exp_integrals(bps, slopes, intercepts) -> np.ndarray:
+    """log integral of exp(intercept + slope*u) over all of a node's segments.
+
+    The outer slopes are ``total`` > 0 (the sparsity factor always has
+    1/s1 > 0) on the left and ``-total`` on the right, so the outer segments
+    take their one-sided closed forms unmasked; only interior rows need the
+    general form, with its flat and empty cases.
+    """
+    total, slope, width = slopes[:1], slopes[1:-1], bps[1:] - bps[:-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pos = intercepts + slopes * np.where(np.isfinite(hi), hi, 0.0) - np.log(np.abs(slopes)) \
-            + np.where(np.isfinite(lo), np.log1p(-np.exp(-np.abs(slopes) * width)), 0.0)
-        neg = intercepts + slopes * np.where(np.isfinite(lo), lo, 0.0) - np.log(np.abs(slopes)) \
-            + np.where(np.isfinite(hi), np.log1p(-np.exp(-np.abs(slopes) * width)), 0.0)
-        flat = intercepts + np.log(width)
-        log_segment = np.where(slopes > 0, pos, np.where(slopes < 0, neg, flat))
-    log_segment = np.where(width > 0, log_segment, -np.inf)
-    return _responsibilities(log_segment)[0]
+        tilted = intercepts[1:-1] + slope * np.where(slope > 0, bps[1:], bps[:-1]) \
+            - np.log(np.abs(slope)) + np.log1p(-np.exp(-np.abs(slope) * width))
+        inner = np.where(slope != 0, tilted, intercepts[1:-1] + np.log(width))
+    log_segment = np.vstack([intercepts[:1] + total * bps[:1] - np.log(total),
+                             np.where(width > 0, inner, -np.inf),
+                             intercepts[-1:] - total * bps[-1:] - np.log(total)])
+    return _responsibilities(log_segment.T)[0]
 
 
 def _log_norm_diff(a_std: np.ndarray, c_std: np.ndarray) -> np.ndarray:
@@ -208,58 +213,49 @@ def _log_norm_diff(a_std: np.ndarray, c_std: np.ndarray) -> np.ndarray:
     return np.where(c_std > a_std, out, -np.inf)
 
 
-def _segment_moments(sigma02: float, lo, hi, slopes, intercepts):
+def _segment_moments(sigma02: float, bps, slopes, intercepts):
     """Exact moments of N(u; 0, sigma02) exp(intercept + slope*u) over segments.
 
-    All arrays are (p, S) in observation-centered coordinates.  Each segment's
-    integrand is a Gaussian with mean slope*sigma02, so masses are normal tail
-    differences and moments are truncated-normal moments.  Returns the
-    centered mean, the variance and the per-row log integral.
+    Arrays as from ``_segments``, observation-centered.  Each segment's
+    integrand is a Gaussian with mean slope*sigma02: masses are normal tail
+    differences (one ``log_ndtr`` per outer segment), moments truncated-normal
+    moments.  Returns the centered mean, the variance and the log integral.
     """
     sigma0 = math.sqrt(sigma02)
     mu_star = slopes * sigma02
-    a_std = (lo - mu_star) / sigma0
-    c_std = (hi - mu_star) / sigma0
-    log_diff = _log_norm_diff(a_std, c_std)
+    a_std = (bps - mu_star[1:]) / sigma0  # lower bounds of segments 1..F
+    c_std = (bps - mu_star[:-1]) / sigma0  # upper bounds of segments 0..F-1
+    log_diff = np.vstack([log_ndtr(c_std[:1]), _log_norm_diff(a_std[:-1], c_std[1:]), log_ndtr(-a_std[-1:])])
     log_mass = intercepts + 0.5 * slopes**2 * sigma02 + log_diff
     with np.errstate(invalid="ignore"):
-        log_total, weights = _responsibilities(log_mass)
+        log_total, shares = _responsibilities(log_mass.T)  # (p, S) views of (S, p) arrays
+    weights = shares.T
     if not np.isfinite(log_total).all():
         raise QuadratureUnderflowError("posterior mass vanished in every segment")
     with np.errstate(invalid="ignore", over="ignore"):
-        log_phi_a = -0.5 * a_std**2 - HALF_LOG_2PI
-        log_phi_c = -0.5 * c_std**2 - HALF_LOG_2PI
-        hazard_a = np.where(log_diff > -np.inf, np.exp(log_phi_a - log_diff), 0.0)
-        hazard_c = np.where(log_diff > -np.inf, np.exp(log_phi_c - log_diff), 0.0)
-        hazard_a = np.where(np.isfinite(lo), hazard_a, 0.0)
-        hazard_c = np.where(np.isfinite(hi), hazard_c, 0.0)
-        seg_mean = mu_star + sigma0 * (hazard_a - hazard_c)
-        term_a = np.where(np.isfinite(lo), (mu_star + lo) * hazard_a, 0.0)
-        term_c = np.where(np.isfinite(hi), (mu_star + hi) * hazard_c, 0.0)
-        seg_second = mu_star**2 + sigma02 + sigma0 * (term_a - term_c)
-        mean_u = (weights * np.where(weights > 0, seg_mean, 0.0)).sum(axis=1)
-        second_u = (weights * np.where(weights > 0, seg_second, 0.0)).sum(axis=1)
+        hazard_a = np.where(log_diff[1:] > -np.inf, np.exp(-0.5 * a_std**2 - HALF_LOG_2PI - log_diff[1:]), 0.0)
+        hazard_c = np.where(log_diff[:-1] > -np.inf, np.exp(-0.5 * c_std**2 - HALF_LOG_2PI - log_diff[:-1]), 0.0)
+        term_a, term_c = (mu_star[1:] + bps) * hazard_a, (mu_star[:-1] + bps) * hazard_c
+        # per segment: lower-bound term minus upper-bound term, none at an open end
+        seg_mean = mu_star + sigma0 * np.vstack([-hazard_c[:1], hazard_a[:-1] - hazard_c[1:], hazard_a[-1:]])
+        seg_second = mu_star**2 + sigma02 + sigma0 * np.vstack([-term_c[:1], term_a[:-1] - term_c[1:], term_a[-1:]])
+        mean_u = (weights * np.where(weights > 0, seg_mean, 0.0)).sum(axis=0)
+        second_u = (weights * np.where(weights > 0, seg_second, 0.0)).sum(axis=0)
     variance = np.maximum(second_u - mean_u**2, 0.0)
     return mean_u, variance, log_total
 
 
 def _factor_arrays(nbr: np.ndarray, scales: FusedScales):
-    """Center and inverse-scale matrices for the sparsity + neighbor factors.
+    """Center and inverse-scale rows, (F, p): sparsity, then ``nbr`` transposed.
 
     Missing neighbors become inert factors (inverse scale zero at center 0);
     a node with no neighbor at all gets a second factor at 0 with scale s1.
     """
-    nbr = np.asarray(nbr, dtype=float)
-    if nbr.ndim == 1:
-        nbr = nbr[:, None]
-    p, width = nbr.shape
-    finite = np.isfinite(nbr)
-    mus = np.zeros((p, width + 1))
-    inv = np.zeros((p, width + 1))
-    inv[:, 0] = 1.0 / scales.s1
-    mus[:, 1:] = np.where(finite, nbr, 0.0)
-    inv[:, 1:] = np.where(finite, 1.0 / scales.s2, 0.0)
-    inv[~finite.any(axis=1), 1] = 1.0 / scales.s1
+    rows = np.atleast_2d(nbr.T)
+    finite = np.isfinite(rows)
+    mus = np.vstack([np.zeros_like(rows[:1]), np.where(finite, rows, 0.0)])
+    inv = np.vstack([np.full_like(rows[:1], 1.0 / scales.s1), np.where(finite, 1.0 / scales.s2, 0.0)])
+    inv[1, ~finite.any(axis=0)] = 1.0 / scales.s1
     return mus, inv
 
 
@@ -267,6 +263,7 @@ def fused_posterior_stats(beta_bar: np.ndarray, sigma02: float, neighbor_means: 
                           scales: FusedScales) -> PosteriorStats:
     """Posteriors under the fused prior for all coordinates at once.
 
+    ``neighbor_means`` is (p,) or (p, W), NaN where a neighbor is missing.
     Computed by exact segment-wise Gaussian integration (the log prior is
     piecewise linear).  The prior's segments, built once in
     observation-centered coordinates, serve both integrals: the posterior
@@ -275,8 +272,12 @@ def fused_posterior_stats(beta_bar: np.ndarray, sigma02: float, neighbor_means: 
     constant, so marginal likelihoods are comparable across scale settings.
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
-    mus, inv = _factor_arrays(neighbor_means, scales)
-    segments = _segments(mus - beta_bar[:, None], inv)
+    nbr = np.asarray(neighbor_means, dtype=float)
+    if nbr.shape[:1] != beta_bar.shape or not 1 <= nbr.ndim <= 2 or 0 in nbr.shape[1:]:
+        raise DimensionMismatchError(
+            f"neighbor summaries of shape {nbr.shape} do not match {beta_bar.shape} coefficients")
+    mus, inv = _factor_arrays(nbr, scales)
+    segments = _segments(mus - beta_bar, inv)
     mean_u, variance, log_integral = _segment_moments(sigma02, *segments)
     return PosteriorStats(
         mean=beta_bar + mean_u,
@@ -351,18 +352,16 @@ def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarr
 
 
 def _neighbor_matrix(graph: Graph, b_bar: np.ndarray) -> np.ndarray:
-    """Batch neighbor summaries: (p, 2) for chains, (p, 1) otherwise; missing factors are NaN."""
+    """Neighbor summaries, (p, 2) for chains and (p, 1) otherwise, NaN where missing; views of (W, p) rows."""
     b_bar = np.asarray(b_bar, dtype=float)
     if graph.kind == "chain":
-        nbr = np.full((graph.p, 2), np.nan)
+        nbr = np.full((2, graph.p), np.nan)
         left = graph.dst < graph.src
-        nbr[graph.src[left], 0] = b_bar[graph.dst[left]]
-        nbr[graph.src[~left], 1] = b_bar[graph.dst[~left]]
-        return nbr
+        nbr[0, graph.src[left]] = b_bar[graph.dst[left]]
+        nbr[1, graph.src[~left]] = b_bar[graph.dst[~left]]
+        return nbr.T
     means, isolated = graph.neighbor_mean(b_bar)
-    nbr = means[:, None].copy()
-    nbr[isolated, 0] = np.nan
-    return nbr
+    return np.where(isolated, np.nan, means)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ from scipy.special import log_ndtr
 import nash
 from conftest import piecewise_image, random_regression
 from nash import fused
+from nash.ash import _responsibilities
 from nash.errors import ConfigError, DimensionMismatchError, QuadratureUnderflowError
 from nash.fused import (
     DenoiseConfig,
+    HALF_LOG_2PI,
     FusedPrior,
     FusedScales,
     LEARN_EVERY,
@@ -60,6 +62,68 @@ def reference_log_norm_diff(a_std, c_std):
         right = upper_sf + np.log1p(-np.exp(np.minimum(lower_sf - upper_sf, 0.0)))
         out = np.where(a_std + c_std > 0, right, left)
     return np.where(c_std > a_std, out, -np.inf)
+
+
+def reference_fused_posterior_stats(beta_bar, sigma02, nbr, scales):
+    """The row-major segment posterior: (p, F) factors sorted by ``argsort``.
+
+    Intercepts come from evaluating the log prior at a reference point inside
+    each segment; masses and moments from a (p, S) pass with every bound
+    masked for infinity.  Returns mean, variance and normalized log marginal.
+    """
+    beta_bar = np.asarray(beta_bar, dtype=float)
+    nbr = np.asarray(nbr, dtype=float)
+    nbr = nbr[:, None] if nbr.ndim == 1 else nbr
+    p, width = nbr.shape
+    finite = np.isfinite(nbr)
+    mus, inv = np.zeros((p, width + 1)), np.zeros((p, width + 1))
+    inv[:, 0] = 1.0 / scales.s1
+    mus[:, 1:] = np.where(finite, nbr, 0.0)
+    inv[:, 1:] = np.where(finite, 1.0 / scales.s2, 0.0)
+    inv[~finite.any(axis=1), 1] = 1.0 / scales.s1
+    mus = mus - beta_bar[:, None]
+
+    order = np.argsort(mus, axis=1)
+    bps = np.take_along_axis(mus, order, axis=1)
+    inv_sorted = np.take_along_axis(inv, order, axis=1)
+    total = inv_sorted.sum(axis=1, keepdims=True)
+    slopes = total - 2.0 * np.concatenate([np.zeros((p, 1)), np.cumsum(inv_sorted, axis=1)], axis=1)
+    lo = np.concatenate([np.full((p, 1), -np.inf), bps], axis=1)
+    hi = np.concatenate([bps, np.full((p, 1), np.inf)], axis=1)
+    ref = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi),
+                   np.where(np.isfinite(hi), hi - 1.0, lo + 1.0))
+    log_u_ref = -(np.abs(ref[:, :, None] - mus[:, None, :]) * inv[:, None, :]).sum(axis=2)
+    intercepts = log_u_ref - slopes * ref
+
+    width = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pos = intercepts + slopes * np.where(np.isfinite(hi), hi, 0.0) - np.log(np.abs(slopes)) \
+            + np.where(np.isfinite(lo), np.log1p(-np.exp(-np.abs(slopes) * width)), 0.0)
+        neg = intercepts + slopes * np.where(np.isfinite(lo), lo, 0.0) - np.log(np.abs(slopes)) \
+            + np.where(np.isfinite(hi), np.log1p(-np.exp(-np.abs(slopes) * width)), 0.0)
+        flat = intercepts + np.log(width)
+        log_segment = np.where(slopes > 0, pos, np.where(slopes < 0, neg, flat))
+    log_prior_mass = _responsibilities(np.where(width > 0, log_segment, -np.inf))[0]
+
+    sigma0 = np.sqrt(sigma02)
+    mu_star = slopes * sigma02
+    a_std = (lo - mu_star) / sigma0
+    c_std = (hi - mu_star) / sigma0
+    log_diff = _log_norm_diff(a_std, c_std)
+    with np.errstate(invalid="ignore"):
+        log_total, weights = _responsibilities(intercepts + 0.5 * slopes**2 * sigma02 + log_diff)
+    with np.errstate(invalid="ignore", over="ignore"):
+        hazard_a = np.where(log_diff > -np.inf, np.exp(-0.5 * a_std**2 - HALF_LOG_2PI - log_diff), 0.0)
+        hazard_c = np.where(log_diff > -np.inf, np.exp(-0.5 * c_std**2 - HALF_LOG_2PI - log_diff), 0.0)
+        hazard_a = np.where(np.isfinite(lo), hazard_a, 0.0)
+        hazard_c = np.where(np.isfinite(hi), hazard_c, 0.0)
+        seg_mean = mu_star + sigma0 * (hazard_a - hazard_c)
+        term_a = np.where(np.isfinite(lo), (mu_star + lo) * hazard_a, 0.0)
+        term_c = np.where(np.isfinite(hi), (mu_star + hi) * hazard_c, 0.0)
+        seg_second = mu_star**2 + sigma02 + sigma0 * (term_a - term_c)
+        mean_u = (weights * np.where(weights > 0, seg_mean, 0.0)).sum(axis=1)
+        second_u = (weights * np.where(weights > 0, seg_second, 0.0)).sum(axis=1)
+    return beta_bar + mean_u, np.maximum(second_u - mean_u**2, 0.0), log_total - log_prior_mass
 
 
 def reference_chain(p):
@@ -265,6 +329,17 @@ class TestFusedPosteriorStats:
             )
             assert stats.mean[0] == pytest.approx(mean, rel=1e-4, abs=1e-9)
             assert stats.variance[0] == pytest.approx(variance, rel=1e-4)
+            # the denoiser's rows: one aggregated neighbor factor, and an isolated
+            # node, whose prior falls back to a second sparsity factor
+            stats = fused_posterior_stats(np.array([beta, beta]), sigma02,
+                                          np.array([[left], [np.nan]]), scales)
+            one = oracle_moments(beta, sigma02, lambda b: fused_log_density(b, left, None, scales),
+                                 centers=(0.0, left))
+            isolated = oracle_moments(
+                beta, sigma02, lambda b: fused_log_density(b, 0.0, None, FusedScales(scales.s1, scales.s1)))
+            for row, (mean, variance, _) in enumerate((one, isolated)):
+                assert stats.mean[row] == pytest.approx(mean, rel=1e-4, abs=1e-9)
+                assert stats.variance[row] == pytest.approx(variance, rel=1e-4)
 
     def test_normalized_log_marginal(self):
         scales = FusedScales(0.6, 0.4)
@@ -284,12 +359,17 @@ class TestFusedPosteriorStats:
 
     @pytest.mark.parametrize("bad", [-np.inf, np.nan])
     def test_vanished_row_mass_raises(self, bad):
-        lo = np.array([[-np.inf, 0.0], [-np.inf, 0.0]])
-        hi = np.array([[0.0, np.inf], [0.0, np.inf]])
-        slopes = np.array([[1.0, -1.0], [1.0, -1.0]])
-        intercepts = np.array([[0.0, 0.0], [bad, bad]])
+        # two nodes, one breakpoint at 0 each: segments (-inf, 0] and [0, inf)
+        bps = np.array([[0.0, 0.0]])
+        slopes = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        intercepts = np.array([[0.0, bad], [0.0, bad]])
         with pytest.raises(QuadratureUnderflowError):
-            _segment_moments(0.5, lo, hi, slopes, intercepts)
+            _segment_moments(0.5, bps, slopes, intercepts)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (4, 2), (6, 1), (5, 0), (5, 2, 1)])
+    def test_wrong_neighbor_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            fused_posterior_stats(np.zeros(5), 0.3, np.zeros(shape), FusedScales(0.5, 0.5))
 
     def test_log_norm_diff_matches_four_call_form(self, rng):
         # infinite bounds, empty and reversed segments, both tails and the centre
@@ -309,6 +389,31 @@ class TestFusedPosteriorStats:
         empty = (np.arange(4000) % 7 == 0) | (np.arange(4000) % 11 == 0)
         assert np.isneginf(out[empty, 1]).all() and np.isneginf(out[5, 2]) and np.isneginf(out[6, 0])
         assert np.isfinite(out[~empty, 1]).all()
+
+    @pytest.mark.parametrize("s2", [0.05, 0.2, 1.0, 10.0])
+    @pytest.mark.parametrize("s1", [0.05, 0.2, 1.0, 10.0])
+    def test_matches_row_major_reference(self, s1, s2):
+        scales = FusedScales(s1, s2)
+        rng = np.random.default_rng(5)
+        factor_counts = set()
+        cases = [(graph, values) for graph, _ in _graph_cases().values()
+                 for values in (rng.normal(0, 1, graph.p), np.full(graph.p, 0.6))]
+        # tied breakpoints: neighbors at the sparsity center, equal left and
+        # right means, observations on a breakpoint; then isolated rows
+        ties = np.array([[0.0, 0.0], [0.0, 1.3], [1.3, 1.3], [-0.4, -0.4], [0.0, np.nan],
+                         [np.nan, 0.7], [np.nan, np.nan]])
+        for sigma02 in (0.05, 0.5, 2.0):
+            inputs = [(values + rng.normal(0, 0.3, graph.p), _neighbor_matrix(graph, values))
+                      for graph, values in cases]
+            inputs += [(np.zeros(7), ties), (np.nan_to_num(ties[:, 0]), ties), (np.full(7, 1.3), ties),
+                       (np.array([0.0, 2.0, -1.0]), np.array([[0.0], [2.0], [np.nan]]))]
+            for beta_bar, nbr in inputs:
+                stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales)
+                expected = reference_fused_posterior_stats(beta_bar, sigma02, nbr, scales)
+                for got, want in zip((stats.mean, stats.variance, stats.log_marginal), expected):
+                    np.testing.assert_array_less(np.abs(got - want), 1e-12 * (1.0 + np.abs(want)))
+                factor_counts.update(np.isfinite(np.asarray(nbr).reshape(len(beta_bar), -1)).sum(axis=1))
+        assert factor_counts == {0, 1, 2}
 
     def test_null_probability_is_zero(self, rng):
         stats = fused_posterior_stats(rng.normal(0, 1, 6), 0.2,
