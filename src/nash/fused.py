@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .ash import PosteriorStats, _responsibilities
-from .errors import ConfigError, DimensionMismatchError, ParseError, QuadratureUnderflowError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseError, QuadratureUnderflowError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -276,6 +276,8 @@ def fused_posterior_stats(beta_bar: np.ndarray, sigma02: float, neighbor_means: 
     if nbr.shape[:1] != beta_bar.shape or not 1 <= nbr.ndim <= 2 or 0 in nbr.shape[1:]:
         raise DimensionMismatchError(
             f"neighbor summaries of shape {nbr.shape} do not match {beta_bar.shape} coefficients")
+    if not np.isfinite(beta_bar).all():
+        raise NonFiniteError("coefficient estimates must be finite")
     mus, inv = _factor_arrays(nbr, scales)
     segments = _segments(mus - beta_bar, inv)
     mean_u, variance, log_integral = _segment_moments(sigma02, *segments)

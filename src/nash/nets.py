@@ -5,7 +5,9 @@ weights over a fixed variance grid, and a mixture-density network whose
 heads emit component weights (including the point mass at zero), means and
 log variances.  Both are trained by ascending the marginal likelihood of
 the noisy coefficient estimates with hand-written reverse-mode gradients
-and Adam; no external ML runtime is involved, the networks are tiny.
+and Adam; no external ML runtime is involved, the networks are tiny.  The
+objectives run the networks on the distinct feature rows (``_Rows``), the
+softmax one in likelihood space, and Adam steps one flat parameter vector.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .errors import ConfigError, DimensionMismatchError, NonFiniteGradientError
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # up to FULL_BATCH_ROWS rows every step sees all of them; above, shuffled minibatches
 FULL_BATCH_ROWS, MINIBATCH = 4096, 1024
+# below this a row's likelihood sum may hold subnormal terms: it is redone in log space
+UNDERFLOW = 1e-290
 
 
 @dataclass
@@ -49,145 +53,186 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam ascent on a list of parameter arrays (updates in place)."""
+    """Adam ascent on one flat parameter vector (updated in place)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float):
-        self.lr = lr
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p += self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * grad
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * grad * grad
+        theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + EPS)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    return z - _responsibilities(z)[0][:, None]
+class _Rows:
+    """Objective inputs grouped by feature row, from ``np.unique(D, axis=0)``.
+
+    ``data`` is ``source`` in group order, ``features`` one row per group, ``const`` the other
+    arguments.  ``spread`` gathers per-group arrays onto rows and ``sum`` adds rows per group;
+    when every row is distinct nothing is reordered and both are the identity.
+    """
+
+    def __init__(self, unique: np.ndarray, inverse: np.ndarray, source: list, const: tuple = ()):
+        self.unique, self.inverse, self.source, self.const = unique, inverse, source, const
+        order = np.argsort(inverse, kind="stable")
+        labels = inverse[order]
+        first = np.r_[True, labels[1:] != labels[:-1]]
+        if first.all():
+            self.features, self.data, self.starts = unique[inverse], source, None
+            self.group, self.counts = np.arange(len(inverse)), np.ones(len(inverse))
+        else:
+            self.starts = np.flatnonzero(first)
+            self.features = unique[labels[self.starts]]
+            self.data = [a[order] for a in source]
+            self.group = np.cumsum(first) - 1
+            self.counts = np.diff(np.r_[self.starts, len(labels)])
+
+    def take(self, idx: np.ndarray) -> _Rows:
+        """The rows ``idx`` of ``source``, grouped without another ``np.unique``."""
+        return _Rows(self.unique, self.inverse[idx], [a[idx] for a in self.source], self.const)
+
+    def spread(self, a: np.ndarray) -> np.ndarray:
+        return a if self.starts is None else a[self.group]
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        return a if self.starts is None else np.add.reduceat(a, self.starts, axis=0)
 
 
 class _DenseNet:
-    """Optional ReLU trunk feeding linear output heads.
+    """Optional ReLU trunk (``w1``/``b1`` when ``hidden > 0``) feeding linear output heads.
 
-    With ``hidden > 0`` the trunk is one layer ``w1``/``b1``, drawn before any
-    head so seeded draws keep their order; at depth 0 the heads read the
-    features directly.  Subclasses define ``_heads()``, the names and arrays
-    of each head's weight then bias (applied to the trunk output), and get
-    parameter lists, flattening, input checks and the trunk's share of the
-    gradients from here.
+    Weights are drawn N(0, 1/n_features) in the trunk, then N(0, scale²/width) in each head,
+    biases 0; every array is a view into one flat vector, in ``named_parameters`` order.
     """
 
-    def __init__(self, n_features: int, hidden: int, rng: np.random.Generator):
-        self.n_features = n_features
-        self.hidden = hidden
+    def __init__(self, n_features: int, hidden: int, heads: list[tuple[str, str, int]],
+                 scale: float, rng: np.random.Generator):
+        self.n_features, self.hidden = n_features, hidden
         self.width = hidden if hidden else n_features
-        self.layer = "2" if hidden else ""  # model files number the layer behind the trunk
-        if hidden:
-            self.w1 = rng.normal(0.0, 1.0 / np.sqrt(n_features), size=(n_features, hidden))
-            self.b1 = np.zeros(hidden)
-
-    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        trunk = [("w1", self.w1), ("b1", self.b1)] if self.hidden else []
-        return trunk + self._heads()
+        layers = [("w1", "b1", n_features, hidden, 1.0 / np.sqrt(n_features))] if hidden else []
+        layers += [(w, b, self.width, n_out, scale / np.sqrt(self.width)) for w, b, n_out in heads]
+        self.flat = np.zeros(sum((n_in + 1) * n_out for _, _, n_in, n_out, _ in layers))
+        self._names, at = [], 0
+        for w, b, n_in, n_out, sd in layers:
+            end = at + n_in * n_out
+            setattr(self, w, self.flat[at:end].reshape(n_in, n_out))
+            setattr(self, b, self.flat[end:end + n_out])
+            getattr(self, w)[...] = rng.normal(0.0, sd, size=(n_in, n_out))
+            at, self._names = end + n_out, self._names + [w, b]
+        self._head_weights = [getattr(self, w) for w, _, _ in heads]
 
     def parameters(self) -> list[np.ndarray]:
-        return [p for _, p in self.named_parameters()]
+        return [getattr(self, name) for name in self._names]
+
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        return list(zip(self._names, self.parameters()))
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=float)
-        params = self.parameters()
-        sizes = [p.size for p in params]
-        if theta.size != sum(sizes):
+        if theta.size != self.flat.size:
             raise DimensionMismatchError("flat parameter vector has the wrong length")
-        for p, chunk in zip(params, np.split(theta, np.cumsum(sizes)[:-1])):
-            p[...] = chunk.reshape(p.shape)
+        self.flat[:] = theta.ravel()
 
-    def _trunk(self, D: np.ndarray):
-        """Checked feature rows, the trunk output and its pre-activation (None at depth 0).
-
-        A single feature vector becomes one row.
-        """
-        D = np.asarray(D, dtype=float)
-        if D.ndim == 1:
-            D = D[None, :]
+    def _features(self, D: np.ndarray) -> np.ndarray:
+        """Checked feature rows; a single feature vector becomes one row."""
+        D = np.atleast_2d(np.asarray(D, dtype=float))
         if D.shape[1] != self.n_features:
             raise DimensionMismatchError(f"expected {self.n_features} features, got {D.shape[1]}")
+        return D
+
+    def _trunk(self, D: np.ndarray):
+        """The trunk output for checked rows and its pre-activation (None at depth 0)."""
         if not self.hidden:
-            return D, D, None
+            return D, None
         pre = D @ self.w1 + self.b1
-        return D, np.maximum(pre, 0.0), pre
+        return np.maximum(pre, 0.0), pre
+
+    def _group(self, D: np.ndarray, data: list, const: tuple = ()) -> _Rows:
+        """Group the row-aligned ``data`` by the feature rows ``D``, once."""
+        D = self._features(D)
+        if any(len(a) != len(D) for a in data):
+            raise DimensionMismatchError(f"{len(D)} feature rows, row data of {[len(a) for a in data]}")
+        return _Rows(*np.unique(D, axis=0, return_inverse=True), data, const)
+
+    def _as_rows(self, D, *args) -> _Rows:
+        return D if isinstance(D, _Rows) else self._rows(D, *args)
 
     def _gradients(self, D: np.ndarray, h: np.ndarray, pre: np.ndarray | None,
-                   g_out: list[np.ndarray]) -> list[np.ndarray]:
-        """Parameter gradients in ``named_parameters`` order.
-
-        ``g_out`` holds the objective's gradient with respect to each head's
-        output, in ``_heads()`` order; the trunk gets their sum pulled back
-        through the head weights and the ReLU.
-        """
+                   g_out: list[np.ndarray]) -> np.ndarray:
+        """Flat gradient from each head's output gradient ``g_out``, pulled back through the trunk."""
         grads = [g for g_z in g_out for g in (h.T @ g_z, g_z.sum(axis=0))]
-        if pre is None:
-            return grads
-        weights = [w for _, w in self._heads()[0::2]]
-        g_h = g_out[0] @ weights[0].T
-        for g_z, w in zip(g_out[1:], weights[1:]):
-            g_h += g_z @ w.T
-        g_h *= pre > 0
-        return [D.T @ g_h, g_h.sum(axis=0)] + grads
+        if pre is not None:
+            g_h = g_out[0] @ self._head_weights[0].T
+            for g_z, w in zip(g_out[1:], self._head_weights[1:]):
+                g_h += g_z @ w.T
+            g_h *= pre > 0
+            grads = [D.T @ g_h, g_h.sum(axis=0)] + grads
+        return np.concatenate([g.ravel() for g in grads])
 
 
 class SoftmaxPriorNet(_DenseNet):
     """Features -> simplex of mixture weights; depth 0 or one hidden layer."""
 
     def __init__(self, n_features: int, n_components: int, hidden: int = 0, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        super().__init__(n_features, hidden, rng)
+        super().__init__(n_features, hidden, [("w", "b", n_components)], 1.0, np.random.default_rng(seed))
         self.n_components = n_components
-        self.w = rng.normal(0.0, 1.0 / np.sqrt(self.width), size=(self.width, n_components))
-        self.b = np.zeros(n_components)
 
-    def _heads(self):
-        return [("w" + self.layer, self.w), ("b" + self.layer, self.b)]
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        # model files name the output layer w2/b2 behind a hidden layer
+        names = ["w1", "b1", "w2", "b2"] if self.hidden else ["w", "b"]
+        return list(zip(names, self.parameters()))
 
     def forward(self, D: np.ndarray) -> np.ndarray:
         """Mixture weights for one feature vector or a stack of them."""
-        _, h, _ = self._trunk(D)
+        h, _ = self._trunk(self._features(D))
         probs = _responsibilities(h @ self.w + self.b)[1]
         return probs[0] if np.asarray(D).ndim == 1 else probs
 
-    def objective(self, D: np.ndarray, log_lik: np.ndarray) -> float:
-        """Marginal log likelihood sum_j log sum_m pi_m(d_j) exp(L_jm)."""
-        _, h, _ = self._trunk(D)
-        return float(_responsibilities(_log_softmax(h @ self.w + self.b) + log_lik)[0].sum())
+    def _rows(self, D: np.ndarray, log_lik: np.ndarray) -> _Rows:
+        log_lik = np.atleast_2d(np.asarray(log_lik, dtype=float))
+        rowmax = log_lik.max(axis=1)
+        return self._group(D, [np.exp(log_lik - rowmax[:, None]), log_lik, rowmax])
 
-    def objective_and_gradients(self, D: np.ndarray, log_lik: np.ndarray):
-        D, h, pre = self._trunk(D)
+    def objective(self, D, log_lik=None) -> float:
+        """Marginal log likelihood sum_j log sum_m pi_m(d_j) exp(L_jm); ``D`` may be ``_Rows``."""
+        return self._evaluate(self._as_rows(D, log_lik), False)[0]
+
+    def objective_and_gradients(self, D, log_lik=None):
+        return self._evaluate(self._as_rows(D, log_lik), True)
+
+    def _evaluate(self, rows: _Rows, gradients: bool):
+        """With s_j = sum_m lik_jm pi_m(group of j): the objective sum_j log s_j +
+        rowmax_j, the logit gradient pi_g * sum_{j in g} lik_j / s_j - n_g pi_g.
+        Rows whose s underflows take the exact log-space sum and responsibilities.
+        """
+        h, pre = self._trunk(rows.features)
         z = h @ self.w + self.b
         log_norm, pi = _responsibilities(z)
-        log_marginal, gamma = _responsibilities(z - log_norm[:, None] + log_lik)
-        return float(log_marginal.sum()), self._gradients(D, h, pre, [gamma - pi])
-
-
-def _mdn_logdens(beta_bar, sigma02: float, means, variances):
-    """Per-component log densities of beta_bar under the MDN mixture, and sigma02 + variances.
-
-    Column 0 is the point mass at zero, N(beta_j; 0, sigma02); column k is
-    N(beta_j; mean_jk, sigma02 + variance_jk); ``beta_bar`` is a float array.
-    """
-    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
-    v = sigma02 + variances
-    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
-    return np.column_stack([c0, ck]), v
+        lik, log_lik, rowmax = rows.data
+        s = np.einsum("jm,jm->j", lik, rows.spread(pi))
+        low = np.flatnonzero(s < UNDERFLOW)
+        s[low] = np.inf  # their lik / s is 0; their log s and responsibilities come below
+        log_s = np.log(s)
+        g_z = -rows.counts[:, None] * pi
+        if low.size:
+            g_low = rows.group[low]
+            log_marginal, gamma_low = _responsibilities((z - log_norm[:, None])[g_low] + log_lik[low])
+            log_s[low] = log_marginal - rowmax[low]
+            np.add.at(g_z, g_low, gamma_low)
+        objective = float(log_s.sum() + rowmax.sum())
+        if not gradients:
+            return objective, None
+        g_z += pi * rows.sum(lik / s[:, None])
+        return objective, self._gradients(rows.features, h, pre, [g_z])
 
 
 class MdnPriorNet(_DenseNet):
@@ -198,24 +243,14 @@ class MdnPriorNet(_DenseNet):
     """
 
     def __init__(self, n_features: int, n_components: int = 5, hidden: int = 16, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        super().__init__(n_features, hidden, rng)
+        heads = [("w_pi", "b_pi", n_components + 1), ("w_mu", "b_mu", n_components),
+                 ("w_var", "b_var", n_components)]
+        super().__init__(n_features, hidden, heads, 0.1, np.random.default_rng(seed))
         self.n_components = n_components
-        scale = 0.1 / np.sqrt(self.width)
-        self.w_pi = rng.normal(0.0, scale, size=(self.width, n_components + 1))
-        self.b_pi = np.zeros(n_components + 1)
-        self.w_mu = rng.normal(0.0, scale, size=(self.width, n_components))
-        self.b_mu = np.zeros(n_components)
-        self.w_var = rng.normal(0.0, scale, size=(self.width, n_components))
-        self.b_var = np.zeros(n_components)
-
-    def _heads(self):
-        return [("w_pi", self.w_pi), ("b_pi", self.b_pi), ("w_mu", self.w_mu),
-                ("b_mu", self.b_mu), ("w_var", self.w_var), ("b_var", self.b_var)]
 
     def forward(self, D: np.ndarray):
         """Per-row (weights incl. null, means, variances)."""
-        _, h, _ = self._trunk(D)
+        h, _ = self._trunk(self._features(D))
         weights = _responsibilities(h @ self.w_pi + self.b_pi)[1]
         means = h @ self.w_mu + self.b_mu
         variances = np.exp(h @ self.w_var + self.b_var)
@@ -223,34 +258,47 @@ class MdnPriorNet(_DenseNet):
             return weights[0], means[0], variances[0]
         return weights, means, variances
 
-    def _log_joint(self, h: np.ndarray, beta_bar: np.ndarray, sigma02: float):
-        """Log weight plus log density per row and component, from trunk outputs ``h``.
+    def _rows(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> _Rows:
+        beta_bar = np.asarray(beta_bar, dtype=float)
+        null_logdens = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
+        return self._group(D, [beta_bar, null_logdens], (sigma02,))
 
-        Also returns the weights, means, variances and ``sigma02 + variances``.
-        """
+    def objective(self, D, beta_bar=None, sigma02=None) -> float:
+        """Marginal log likelihood of ``beta_bar`` under each row's mixture; ``D`` may be ``_Rows``."""
+        return self._evaluate(self._as_rows(D, beta_bar, sigma02), False)[0]
+
+    def objective_and_gradients(self, D, beta_bar=None, sigma02=None):
+        return self._evaluate(self._as_rows(D, beta_bar, sigma02), True)
+
+    def _evaluate(self, rows: _Rows, gradients: bool):
+        """Heads per group, densities per row.  With d = beta_bar - mean, v = sigma02 + variance,
+        group g's head gradients are sum gamma - n_g pi, sum gamma_k d / v, variance / (2 v)
+        (sum gamma_k d²/v - sum gamma_k)."""
+        h, pre = self._trunk(rows.features)
         z_pi = h @ self.w_pi + self.b_pi
         log_norm, pi = _responsibilities(z_pi)
         means = h @ self.w_mu + self.b_mu
         variances = np.exp(h @ self.w_var + self.b_var)
-        c, v = _mdn_logdens(beta_bar, sigma02, means, variances)
-        c += z_pi - log_norm[:, None]
-        return c, pi, means, variances, v
-
-    def objective(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> float:
-        _, h, _ = self._trunk(D)
-        a = self._log_joint(h, np.asarray(beta_bar, dtype=float), sigma02)[0]
-        return float(_responsibilities(a)[0].sum())
-
-    def objective_and_gradients(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float):
-        D, h, pre = self._trunk(D)
-        beta_bar = np.asarray(beta_bar, dtype=float)
-        a, pi, means, variances, v = self._log_joint(h, beta_bar, sigma02)
+        beta_bar, null_logdens = rows.data
+        v = rows.const[0] + variances
+        inv_v = 1.0 / v
+        log_w = z_pi - log_norm[:, None]
+        log_w[:, 1:] -= 0.5 * (LOG_2PI + np.log(v))
+        a = rows.spread(log_w)  # log_w itself when every row is its own group
+        d = beta_bar[:, None] - rows.spread(means)
+        q = d * d * rows.spread(inv_v)
+        a[:, 0] += null_logdens
+        a[:, 1:] -= 0.5 * q
         log_marginal, gamma = _responsibilities(a)
+        objective = float(log_marginal.sum())
+        if not gradients:
+            return objective, None
         gk = gamma[:, 1:]
-        diff = beta_bar[:, None] - means
-        g_mu = gk * diff / v
-        g_lv = gk * (-0.5 / v + 0.5 * diff**2 / v**2) * variances
-        return float(log_marginal.sum()), self._gradients(D, h, pre, [gamma - pi, g_mu, g_lv])
+        g_gamma = rows.sum(gamma)
+        g_pi = g_gamma - rows.counts[:, None] * pi
+        g_mu = rows.sum(gk * d) * inv_v
+        g_lv = 0.5 * variances * inv_v * (rows.sum(gk * q) - g_gamma[:, 1:])
+        return objective, self._gradients(rows.features, h, pre, [g_pi, g_mu, g_lv])
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +310,25 @@ def _train(net: _DenseNet, rows: tuple, extra: tuple, config: TrainConfig | None
            steps: int | None) -> np.ndarray:
     """Adam ascent of ``net.objective(*rows, *extra)``; returns the objective trace.
 
-    ``rows`` are the objective's row-aligned arrays (features first), which
-    must be finite; ``extra`` are its remaining arguments, passed unchanged.
-    Up to ``FULL_BATCH_ROWS`` rows every step uses the full batch and costs
-    one forward pass: the objective that comes with the gradients scores the
-    parameters the step starts from, so the trace and the best parameters
-    run one step behind, and the full objective is scored once more after
-    the last step.  Above that, each epoch shuffles the rows into minibatches
-    of ``MINIBATCH``; their objectives cover only their rows, so that path
-    scores the full objective once per epoch.  The trace holds the initial
-    objective and one entry per step (full batch) or per epoch; the best
-    parameter vector scored is restored at the end, so the final objective
-    can never fall below the initial one.
+    ``rows`` (features first, finite, of one length) and ``extra`` are the
+    objective's arguments, grouped once as the ``_Rows`` every call takes.  Up to
+    ``FULL_BATCH_ROWS`` rows a step costs one full-batch forward pass: the
+    objective that comes with the gradients scores the step's starting
+    point, so the trace and the best parameters run one step behind, and the
+    objective is scored once more after the last step.  Above that, each
+    epoch shuffles the rows into minibatches of ``MINIBATCH`` (``_Rows.take``)
+    and scores the full objective once.  The trace holds the initial
+    objective and one entry per step (full batch) or per epoch; the best flat
+    parameter vector scored is restored, so the objective never ends lower.
     """
     config = config or TrainConfig()
     rows = tuple(np.asarray(a, dtype=float) for a in rows)
     if not all(np.isfinite(a).all() for a in rows):
         raise ConfigError("training inputs must be finite")
-    n_rows = rows[0].shape[0]
+    grouped = net._rows(*rows, *extra)
+    n_rows = len(grouped.inverse)
     n_steps = steps if steps is not None else config.steps
-    opt = Adam(net.parameters(), config.learning_rate)
+    opt = Adam(net.flat, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     best = [-np.inf, net.get_flat()]  # best objective scored and its parameters
@@ -294,20 +341,18 @@ def _train(net: _DenseNet, rows: tuple, extra: tuple, config: TrainConfig | None
     batches = -(-n_rows // MINIBATCH)  # minibatches per epoch
     for step in range(n_steps):
         if n_rows <= FULL_BATCH_ROWS:
-            obj, grads = net.objective_and_gradients(*rows, *extra)
+            obj, grad = net.objective_and_gradients(grouped)
             record(obj)
         else:
             if step % batches == 0:
-                record(net.objective(*rows, *extra))
+                record(net.objective(grouped))
                 perm = rng.permutation(n_rows)
             lo = (step % batches) * MINIBATCH
-            idx = perm[lo:lo + MINIBATCH]
-            grads = net.objective_and_gradients(*(a[idx] for a in rows), *extra)[1]
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise NonFiniteGradientError(step, f"gradient norm {np.linalg.norm(g)!r}")
-        opt.step(net.parameters(), grads)
-    record(net.objective(*rows, *extra))
+            grad = net.objective_and_gradients(grouped.take(perm[lo:lo + MINIBATCH]))[1]
+        if not np.isfinite(grad).all():
+            raise NonFiniteGradientError(step, f"gradient norm {np.linalg.norm(grad)!r}")
+        opt.step(net.flat, grad)
+    record(net.objective(grouped))
     net.set_flat(best[1])
     return np.array(history)
 
@@ -340,13 +385,16 @@ def mdn_posterior_stats(beta_bar: np.ndarray, sigma02: float, weights: np.ndarra
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     means = np.atleast_2d(np.asarray(means, dtype=float))
     variances = np.atleast_2d(np.asarray(variances, dtype=float))
-    c, v = _mdn_logdens(beta_bar, sigma02, means, variances)
+    # log densities: N(beta_j; 0, sigma02) for the point mass, N(beta_j; mean_jk, v_jk)
+    v = sigma02 + variances
+    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
+    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
     # conjugate posterior of each Gaussian component; the point mass stays at zero
     zero = np.zeros_like(beta_bar)
     post_mean_k = (beta_bar[:, None] * variances + means * sigma02) / v
     post_var_k = variances * sigma02 / v
-    return _mixture_stats(_log_weights(weights) + c, np.column_stack([zero, post_mean_k]),
-                          np.column_stack([zero, post_var_k]))
+    return _mixture_stats(_log_weights(weights) + np.column_stack([c0, ck]),
+                          np.column_stack([zero, post_mean_k]), np.column_stack([zero, post_var_k]))
 
 
 # ---------------------------------------------------------------------------

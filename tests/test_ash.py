@@ -18,7 +18,7 @@ from nash.ash import (
     posterior_summary,
 )
 from nash.errors import ConfigError
-from nash.nets import _log_softmax
+from nash.nets import SoftmaxPriorNet
 
 
 def normal_pdf(x, mean, var):
@@ -347,7 +347,7 @@ def kernel_cases():
 
 
 class TestResponsibilitiesKernel:
-    """``_responsibilities`` and the nets' log-softmax against ``scipy.special.logsumexp``."""
+    """``_responsibilities`` and the softmax net's objective against ``scipy.special.logsumexp``."""
 
     @pytest.mark.parametrize("case", sorted(kernel_cases()))
     def test_matches_logsumexp_oracle(self, case):
@@ -360,13 +360,21 @@ class TestResponsibilitiesKernel:
         assert np.all(gamma[np.isneginf(a)] == 0.0)
 
     @pytest.mark.parametrize("case", sorted(kernel_cases()))
-    def test_log_softmax_matches_logsumexp_oracle(self, case):
-        a = kernel_cases()[case]
-        expected = a - logsumexp(a, axis=1)[:, None]
-        got = _log_softmax(a)
-        finite = np.isfinite(expected)
-        np.testing.assert_array_equal(np.isfinite(got), finite)
-        np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-12, atol=1e-12)
+    def test_softmax_objective_matches_logsumexp_oracle(self, case):
+        # the cases as a log-likelihood matrix (-inf entries, offsets of +-1e3)
+        # under a depth-0 softmax net on three one-hot groups
+        log_lik = kernel_cases()[case]
+        p, m = log_lik.shape
+        D = np.eye(3)[np.arange(p) % 3]
+        net = SoftmaxPriorNet(3, m, hidden=0, seed=3)
+        z = D @ net.w + net.b
+        log_pi = z - logsumexp(z, axis=1)[:, None]
+        expected_norm = logsumexp(log_pi + log_lik, axis=1)
+        g_z = np.exp(log_pi + log_lik - expected_norm[:, None]) - np.exp(log_pi)
+        expected_grad = np.concatenate([(D.T @ g_z).ravel(), g_z.sum(axis=0)])
+        objective, grad = net.objective_and_gradients(D, log_lik)
+        assert objective == pytest.approx(expected_norm.sum(), rel=1e-12)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12)
 
     def test_input_not_modified(self):
         a = kernel_cases()["minus_inf"]

@@ -8,7 +8,7 @@ import nash
 from conftest import piecewise_image, random_regression
 from nash import fused
 from nash.ash import _responsibilities
-from nash.errors import ConfigError, DimensionMismatchError, QuadratureUnderflowError
+from nash.errors import ConfigError, DimensionMismatchError, NonFiniteError, QuadratureUnderflowError
 from nash.fused import (
     DenoiseConfig,
     HALF_LOG_2PI,
@@ -370,6 +370,19 @@ class TestFusedPosteriorStats:
     def test_wrong_neighbor_shape_rejected(self, shape):
         with pytest.raises(DimensionMismatchError):
             fused_posterior_stats(np.zeros(5), 0.3, np.zeros(shape), FusedScales(0.5, 0.5))
+
+    @pytest.mark.parametrize("call", [fused_posterior_stats, fused.fused_log_marginal,
+                                      fused.learn_scales])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_bar_rejected(self, call, bad):
+        # blamed on the input, not on the integration
+        beta_bar = np.array([0.4, bad, -0.3])
+        nbr = np.array([[np.nan, 0.1], [0.4, -0.3], [0.1, np.nan]])
+        with pytest.raises(NonFiniteError):
+            if call is fused.learn_scales:
+                call(beta_bar, 0.3, nbr)
+            else:
+                call(beta_bar, 0.3, nbr, FusedScales(0.5, 0.5))
 
     def test_log_norm_diff_matches_four_call_form(self, rng):
         # infinite bounds, empty and reversed segments, both tails and the centre

@@ -1,12 +1,21 @@
 """Tests for the network priors: forward contracts, gradients, training behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import nash
 from conftest import finite_difference_gradient, gradient_relative_error, random_regression
 from nash import nets
-from nash.ash import MixtureWeights, fit_weights_em, mixture_objective
+from nash.ash import (
+    LOG_2PI,
+    MixtureWeights,
+    _responsibilities,
+    fit_weights_em,
+    marginal_loglik_matrix,
+    mixture_objective,
+)
 from nash.errors import ConfigError, DimensionMismatchError
 from nash.nets import (
     Adam,
@@ -32,17 +41,80 @@ def two_pass_reference(net, eval_obj, eval_grads, config):
     the gradients; returns the objective trace and restores the best
     parameters scored, as ``_train`` does.
     """
-    opt = Adam(net.parameters(), config.learning_rate)
+    opt = Adam(net.flat, config.learning_rate)
     history = [eval_obj()]
     best_obj, best_theta = history[0], net.get_flat()
     for _ in range(config.steps):
-        _, grads = eval_grads()
-        opt.step(net.parameters(), grads)
+        _, grad = eval_grads()
+        opt.step(net.flat, grad)
         history.append(eval_obj())
         if history[-1] > best_obj:
             best_obj, best_theta = history[-1], net.get_flat()
     net.set_flat(best_theta)
     return np.array(history)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise reference: the nets' objectives as they were before rows were
+# grouped, in log space on every row (kept here, independent of nash.nets)
+# ---------------------------------------------------------------------------
+
+
+def _reference_trunk(net, D):
+    D = np.asarray(D, dtype=float)
+    if not net.hidden:
+        return D, D, None
+    pre = D @ net.w1 + net.b1
+    return D, np.maximum(pre, 0.0), pre
+
+
+def _reference_gradients(D, h, pre, g_out, head_weights):
+    grads = [g for g_z in g_out for g in (h.T @ g_z, g_z.sum(axis=0))]
+    if pre is None:
+        return grads
+    g_h = g_out[0] @ head_weights[0].T
+    for g_z, w in zip(g_out[1:], head_weights[1:]):
+        g_h += g_z @ w.T
+    g_h *= pre > 0
+    return [D.T @ g_h, g_h.sum(axis=0)] + grads
+
+
+def reference_softmax(net, D, log_lik):
+    """Softmax objective and gradient list, row by row in log space."""
+    D, h, pre = _reference_trunk(net, D)
+    z = h @ net.w + net.b
+    log_norm, pi = _responsibilities(z)
+    log_marginal, gamma = _responsibilities(z - log_norm[:, None] + log_lik)
+    return float(log_marginal.sum()), _reference_gradients(D, h, pre, [gamma - pi], [net.w])
+
+
+def reference_mdn(net, D, beta_bar, sigma02):
+    """MDN objective and gradient list, row by row in log space."""
+    D, h, pre = _reference_trunk(net, D)
+    z_pi = h @ net.w_pi + net.b_pi
+    log_norm, pi = _responsibilities(z_pi)
+    means = h @ net.w_mu + net.b_mu
+    variances = np.exp(h @ net.w_var + net.b_var)
+    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
+    v = sigma02 + variances
+    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
+    log_marginal, gamma = _responsibilities(np.column_stack([c0, ck]) + z_pi - log_norm[:, None])
+    gk = gamma[:, 1:]
+    diff = beta_bar[:, None] - means
+    g_mu = gk * diff / v
+    g_lv = gk * (-0.5 / v + 0.5 * diff**2 / v**2) * variances
+    return float(log_marginal.sum()), _reference_gradients(
+        D, h, pre, [gamma - pi, g_mu, g_lv], [net.w_pi, net.w_mu, net.w_var])
+
+
+def assert_matches_reference(got, expected, tol=1e-12):
+    """Objective and every gradient entry within tol * (1 + |reference|)."""
+    objective, grad = got
+    ref_objective, ref_grads = expected
+    ref_grad = np.concatenate([g.ravel() for g in ref_grads])
+    assert abs(objective - ref_objective) <= tol * (1.0 + abs(ref_objective))
+    assert grad.shape == ref_grad.shape
+    assert np.all(np.abs(grad - ref_grad) <= tol * (1.0 + np.abs(ref_grad)))
 
 
 def count_forward_calls(net):
@@ -116,8 +188,7 @@ class TestSoftmaxGradients:
         log_lik = rng.normal(0, 1.5, size=(p, m))
         net = SoftmaxPriorNet(k, m, hidden=hidden, seed=5)
         theta = net.get_flat()
-        _, grads = net.objective_and_gradients(D, log_lik)
-        analytic = np.concatenate([g.ravel() for g in grads])
+        _, analytic = net.objective_and_gradients(D, log_lik)
 
         def objective(flat):
             net.set_flat(flat)
@@ -264,6 +335,157 @@ class TestTrainLoop:
         assert net.objective(D, log_lik) == history[best_step] >= initial
 
 
+def feature_case(name):
+    """Feature rows and coefficient estimates for the grouped-objective parity tests."""
+    rng = np.random.default_rng(sorted(FEATURE_CASES).index(name))
+    D = FEATURE_CASES[name](rng)
+    return D, rng.normal(0.0, 1.5, len(D))
+
+
+FEATURE_CASES = {
+    # side-info shape: 500 rows, two one-hot groups, interleaved
+    "one_hot_groups": lambda rng: np.eye(2)[rng.integers(0, 2, 500)],
+    "duplicated_continuous": lambda rng: rng.standard_normal((40, 3))[rng.integers(0, 40, 200)],
+    "distinct_continuous": lambda rng: rng.standard_normal((60, 3)),
+    "single_row": lambda rng: rng.standard_normal((1, 3)),
+    "above_full_batch": lambda rng: np.eye(3)[rng.integers(0, 3, nets.FULL_BATCH_ROWS + 904)],
+}
+
+
+def randomized(net, seed):
+    """The seeded net (seed 0) or one with N(0, 1) parameters."""
+    if seed:
+        net.set_flat(np.random.default_rng(seed).normal(0.0, 1.0, net.flat.size))
+    return net
+
+
+class TestGroupedRows:
+    """Objectives on distinct feature rows (softmax in likelihood space) against the row-wise reference."""
+
+    @pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_softmax_matches_row_wise_reference(self, case, hidden, seed):
+        D, beta_bar = feature_case(case)
+        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 20))
+        net = randomized(SoftmaxPriorNet(D.shape[1], 20, hidden=hidden, seed=3), seed)
+        expected = reference_softmax(net, D, log_lik)
+        assert_matches_reference(net.objective_and_gradients(D, log_lik), expected)
+        assert abs(net.objective(D, log_lik) - expected[0]) <= 1e-12 * (1.0 + abs(expected[0]))
+
+    @pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+    @pytest.mark.parametrize("hidden", [0, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mdn_matches_row_wise_reference(self, case, hidden, seed):
+        D, beta_bar = feature_case(case)
+        net = randomized(MdnPriorNet(D.shape[1], n_components=5, hidden=hidden, seed=3), seed)
+        expected = reference_mdn(net, D, beta_bar, 0.3)
+        assert_matches_reference(net.objective_and_gradients(D, beta_bar, 0.3), expected)
+        assert abs(net.objective(D, beta_bar, 0.3) - expected[0]) <= 1e-12 * (1.0 + abs(expected[0]))
+
+    def test_single_feature_vector_is_one_row(self, rng):
+        d, log_lik = rng.standard_normal(3), rng.normal(0.0, 1.0, 4)
+        net = randomized(SoftmaxPriorNet(3, 4, hidden=2), 1)
+        assert net.objective(d, log_lik) == net.objective(d[None], log_lik[None])
+        mdn = randomized(MdnPriorNet(3, n_components=2, hidden=2), 1)
+        assert mdn.objective(d, np.array([0.7]), 0.3) == mdn.objective(d[None], np.array([0.7]), 0.3)
+
+    @pytest.mark.parametrize("kind", ["softmax", "mdn"])
+    def test_minibatch_training_matches_row_wise_reference(self, kind):
+        # the minibatch loop on the row-wise objective, minibatches drawn as _train draws them
+        D, beta_bar = feature_case("above_full_batch")
+        config = TrainConfig(learning_rate=0.05, steps=7, seed=4)
+        if kind == "softmax":
+            log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 6))
+            net, ref = (SoftmaxPriorNet(3, 6, hidden=4, seed=1) for _ in range(2))
+            history = train_softmax(net, D, log_lik, config)
+            evaluate = lambda idx: reference_softmax(ref, D[idx], log_lik[idx])
+        else:
+            net, ref = (MdnPriorNet(3, n_components=2, hidden=4, seed=1) for _ in range(2))
+            history = train_mdn(net, D, beta_bar, 0.3, config)
+            evaluate = lambda idx: reference_mdn(ref, D[idx], beta_bar[idx], 0.3)
+        opt = Adam(ref.flat, config.learning_rate)
+        rng = np.random.default_rng(config.seed)
+        batches = -(-len(D) // nets.MINIBATCH)
+        expected, thetas = [], []
+        for step in range(config.steps):
+            if step % batches == 0:
+                expected.append(evaluate(slice(None))[0])
+                thetas.append(ref.get_flat())
+                perm = rng.permutation(len(D))
+            lo = (step % batches) * nets.MINIBATCH
+            opt.step(ref.flat, np.concatenate([g.ravel() for g in evaluate(perm[lo:lo + nets.MINIBATCH])[1]]))
+        expected.append(evaluate(slice(None))[0])
+        thetas.append(ref.get_flat())
+        np.testing.assert_allclose(history, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(net.get_flat(), thetas[int(np.argmax(expected))], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shifted", ["every_row", "group_0"])
+    def test_underflowing_rows_match_log_space(self, shifted):
+        # column 0 dominates the likelihood by e^800 while its weight is e^-900:
+        # lik * pi underflows to 0 on the shifted rows, which take the log-space path
+        rng = np.random.default_rng(13)
+        D = np.eye(2)[np.arange(20) % 2]
+        log_lik = rng.normal(0.0, 1.0, (20, 4))
+        log_lik[slice(None) if shifted == "every_row" else slice(0, None, 2), 0] += 800.0
+        net = SoftmaxPriorNet(2, 4, hidden=0, seed=0)
+        net.b[:] = [-900.0, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            objective, grad = net.objective_and_gradients(D, log_lik)
+            alone = net.objective(D, log_lik)
+        ref_objective, ref_grads = reference_softmax(net, D, log_lik)
+        assert np.isfinite(objective) and np.isfinite(grad).all()
+        assert objective == alone == pytest.approx(ref_objective, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grad, np.concatenate([g.ravel() for g in ref_grads]), rtol=1e-12, atol=0)
+
+    def test_grouping_runs_once_per_training_call(self, monkeypatch):
+        calls = {"unique": 0, "rows": 0}
+        unique = np.unique
+
+        def counted_unique(*args, **kwargs):
+            calls["unique"] += 1
+            return unique(*args, **kwargs)
+
+        class CountedRows(nets._Rows):
+            def __init__(self, *args):
+                calls["rows"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        monkeypatch.setattr(nets, "_Rows", CountedRows)
+        D, beta_bar = feature_case("one_hot_groups")
+        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 6))
+        train_softmax(SoftmaxPriorNet(2, 6, seed=0), D, log_lik, TrainConfig(steps=25, seed=0))
+        assert calls == {"unique": 1, "rows": 1}
+        calls.update(unique=0, rows=0)
+        train_mdn(MdnPriorNet(2, n_components=2, hidden=3, seed=0), D, beta_bar, 0.3,
+                  TrainConfig(steps=15, seed=0))
+        assert calls == {"unique": 1, "rows": 1}
+
+
+class TestRowCounts:
+    """Feature rows and row data that disagree in length are rejected before grouping."""
+
+    def test_train_softmax_rejects_mismatched_log_lik(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            train_softmax(SoftmaxPriorNet(2, 3), np.eye(2)[np.arange(10) % 2],
+                          rng.normal(0, 1, (12, 3)), TrainConfig(steps=2))
+
+    def test_train_mdn_rejects_mismatched_beta_bar(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            train_mdn(MdnPriorNet(2, n_components=2, hidden=3), np.eye(2)[np.arange(10) % 2],
+                      rng.normal(0, 1, 12), 0.3, TrainConfig(steps=2))
+
+    def test_fit_rejects_softmax_features_with_too_few_rows(self):
+        X, y, _ = random_regression(4, n=30, p=6)
+        prior = SoftmaxPrior(np.eye(2)[np.arange(5) % 2], n_components=3,
+                             train_config=TrainConfig(steps=2, seed=0))
+        with pytest.raises(DimensionMismatchError):
+            nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.from_features(np.eye(2)[np.arange(6) % 2]),
+                     prior, nash.FitConfig(max_sweeps=2))
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, np.nan, np.inf])
     def test_learning_rate_not_positive_and_finite_rejected(self, learning_rate):
@@ -381,8 +603,7 @@ class TestMdnGradients:
         sigma02 = 0.4
         net = MdnPriorNet(k, n_components=3, hidden=hidden, seed=7)
         theta = net.get_flat()
-        _, grads = net.objective_and_gradients(D, beta_bar, sigma02)
-        analytic = np.concatenate([g.ravel() for g in grads])
+        _, analytic = net.objective_and_gradients(D, beta_bar, sigma02)
 
         def objective(flat):
             net.set_flat(flat)
