@@ -25,14 +25,10 @@ from .data import (
 from .engine import FitConfig, fit
 from .errors import (
     ConfigError,
-    ConstantColumnError,
     DimensionMismatchError,
-    LengthMismatchError,
     NashError,
-    NonFiniteError,
     NonFiniteGradientError,
     NonPositiveVarianceError,
-    ParseError,
     QuadratureUnderflowError,
     StaleStateError,
 )
@@ -53,14 +49,6 @@ from .simulate import ash_fitter, run_experiment, write_results_csv
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
-_INPUT_ERRORS = (
-    ParseError,
-    DimensionMismatchError,
-    LengthMismatchError,
-    ConstantColumnError,
-    NonFiniteError,
-    ConfigError,
-)
 _NUMERIC_ERRORS = (
     NonFiniteGradientError,
     QuadratureUnderflowError,
@@ -136,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--truth", help="clean image for RMSE reporting")
     p_den.add_argument("--sigma", type=float, default=None, help="noise standard deviation")
     p_den.add_argument("--sweeps", type=int, default=30)
-    p_den.add_argument("--learn-scales", action="store_true",
-                       help="re-learn the Laplace scales every 5 sweeps; needs --sweeps 5 or more "
-                            "(see README caveat)")
     p_den.add_argument("--s1", type=float, default=0.45)
     p_den.add_argument("--s2", type=float, default=0.15)
 
@@ -252,7 +237,6 @@ def cmd_denoise(args) -> int:
     config = DenoiseConfig(
         sweeps=args.sweeps,
         scales=FusedScales(args.s1, args.s2),
-        learn_scales=args.learn_scales,
         noise_sd=args.sigma,
     )
     denoised = denoise_image(noisy, config)
@@ -285,9 +269,6 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except NashError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -114,19 +114,19 @@ class FitResult:
         return self.summaries.summary(j)
 
 
-def dampening_weight(n: int, sigma2: float, sigma02: float) -> float:
-    """Data-driven dampening weight omega = (n-1) sigma0^2 / (sigma^2 + (n-1) sigma0^2)."""
-    if n < 2:
-        raise ConfigError("need n >= 2")
+def dampening_weight(c: float, sigma2: float, sigma02: float) -> float:
+    """Data-driven dampening weight omega = c sigma0^2 / (sigma^2 + c sigma0^2), column norm ``c``."""
+    if c <= 0:
+        raise ConfigError(f"column norm must be positive, got {c}")
     if sigma2 <= 0 or sigma02 <= 0:
         raise NonPositiveVarianceError("variances must be strictly positive")
-    m = float(n - 1)
+    m = float(c)
     return m * sigma02 / (sigma2 + m * sigma02)
 
 
-def coefficient_variance(n: int, sigma2: float, sigma02: float) -> float:
-    """Shared conjugate posterior variance of each beta_j: ((n-1)/s2 + 1/s02)^-1."""
-    return 1.0 / ((n - 1) / sigma2 + 1.0 / sigma02)
+def coefficient_variance(c: float, sigma2: float, sigma02: float) -> float:
+    """Shared conjugate posterior variance of each beta_j: (c/s2 + 1/s02)^-1, column norm ``c``."""
+    return 1.0 / (c / sigma2 + 1.0 / sigma02)
 
 
 def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
@@ -148,30 +148,30 @@ def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
         r_bar=design.ys - design.Xs @ beta,
         sigma2=sigma2,
         sigma02=sigma02,
-        s_j2=coefficient_variance(n, sigma2, sigma02),
+        s_j2=coefficient_variance(n - 1, sigma2, sigma02),
         beta_mle=np.zeros(p),
         log_marginal=np.zeros(p),
         null_prob=np.zeros(p),
     )
 
 
-def elbo_terms(state: FitState, design: StandardizedDesign) -> tuple[float, float, float]:
+def elbo_terms(state: FitState, n: int, c: float, rss: float) -> tuple[float, float, float]:
     """The three ELBO terms; requires latent posteriors fresh from the prior step.
 
-    Term 1 is the expected Gaussian log likelihood plus the entropy of the
-    coefficient posteriors; term 2 is the expected coefficient-given-latent
-    log density; term 3 is the expected prior-over-posterior log ratio of the
-    latents, evaluated through the exact-subposterior identity, which is why
-    freshness matters.
+    ``n`` counts observations, ``c`` is the column norm x_j^T x_j and ``rss``
+    the residual sum of squares at ``state.beta_bar``.  Term 1 is the expected
+    Gaussian log likelihood plus the entropy of the coefficient posteriors;
+    term 2 is the expected coefficient-given-latent log density; term 3 is the
+    expected prior-over-posterior log ratio of the latents, evaluated through
+    the exact-subposterior identity, which is why freshness matters.
     """
     if not state.posterior_fresh:
         raise StaleStateError("latent posteriors are stale; ELBO undefined at this point in the sweep")
-    n, p = design.Xs.shape
+    p = state.beta_bar.size
     sigma2, sigma02, s_j2 = state.sigma2, state.sigma02, state.s_j2
-    rss = float(state.r_bar @ state.r_bar)
     t1 = (
         -0.5 * n * (LOG_2PI + math.log(sigma2))
-        - (rss + (n - 1) * p * s_j2) / (2.0 * sigma2)
+        - (rss + c * p * s_j2) / (2.0 * sigma2)
         + 0.5 * p * (LOG_2PI + 1.0 + math.log(s_j2))
     )
     gap2 = float(np.sum(state.b_var + (state.beta_bar - state.b_bar) ** 2))
@@ -180,17 +180,15 @@ def elbo_terms(state: FitState, design: StandardizedDesign) -> tuple[float, floa
     return t1, t2, t3
 
 
-def compute_elbo(state: FitState, design: StandardizedDesign) -> float:
+def compute_elbo(state: FitState, n: int, c: float, rss: float) -> float:
     """Evidence lower bound at the fresh point of the sweep."""
-    t1, t2, t3 = elbo_terms(state, design)
+    t1, t2, t3 = elbo_terms(state, n, c, rss)
     return t1 + t2 + t3
 
 
-def update_sigma2(state: FitState, design: StandardizedDesign) -> float:
+def update_sigma2(state: FitState, n: int, c: float, rss: float) -> float:
     """Closed-form residual-variance update (floored at 1e-12)."""
-    n, p = design.Xs.shape
-    rss = float(state.r_bar @ state.r_bar)
-    value = (rss + (n - 1) * p * state.s_j2) / n
+    value = (rss + c * state.beta_bar.size * state.s_j2) / n
     return max(value, VARIANCE_FLOOR)
 
 
@@ -236,29 +234,37 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) 
     state.posterior_fresh = False
 
 
-def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> FitState:
-    """One full coordinate-ascent sweep, recording the ELBO at its fresh point.
+def split_step(state: FitState, prior: PriorModel, n: int, c: float, rss: float) -> None:
+    """Everything of a sweep after the coefficient pass, recording the ELBO at its fresh point.
 
-    Order of operations: coefficient pass, prior refit plus latent posterior
-    refresh, ELBO evaluation (the only point in the sweep where the
-    subposterior identity holds), then the variance updates.
+    Order of operations: prior refit plus latent posterior refresh, ELBO
+    evaluation (the only point in the sweep where the subposterior identity
+    holds), then the variance updates.  ``n`` counts observations, ``c`` is
+    the column norm x_j^T x_j (n-1 for a standardized design, 1 for the
+    identity design of a denoised image) and ``rss`` the residual sum of
+    squares after the pass, computed by the caller.
     """
-    n = design.Xs.shape[0]
-    state.s_j2 = coefficient_variance(n, state.sigma2, state.sigma02)
-    _coordinate_pass(state, design, dampening_weight(n, state.sigma2, state.sigma02))
     stats = prior.update(state.beta_bar, state.sigma02)
     state.b_bar = np.asarray(stats.mean, dtype=float)
     state.b_var = np.asarray(stats.variance, dtype=float)
     state.null_prob = np.asarray(stats.null_prob, dtype=float)
     state.log_marginal = np.asarray(stats.log_marginal, dtype=float)
     state.posterior_fresh = True
-    state.elbo_trace.append(compute_elbo(state, design))
-    state.sigma2 = update_sigma2(state, design)
+    state.elbo_trace.append(compute_elbo(state, n, c, rss))
+    state.sigma2 = update_sigma2(state, n, c, rss)
     state.sigma02 = update_sigma02(state)
     # the subposterior identity behind term 3 is tied to the sigma02 the
     # normal-means step ran with, so new variances invalidate the ELBO point
     state.posterior_fresh = False
     state.sweep_count += 1
+
+
+def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> FitState:
+    """One full coordinate-ascent sweep: the pass over standardized columns (norm n-1), then ``split_step``."""
+    n = design.Xs.shape[0]
+    state.s_j2 = coefficient_variance(n - 1, state.sigma2, state.sigma02)
+    _coordinate_pass(state, design, dampening_weight(n - 1, state.sigma2, state.sigma02))
+    split_step(state, prior, n, n - 1, float(state.r_bar @ state.r_bar))
     return state
 
 

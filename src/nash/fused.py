@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .ash import PosteriorStats, _responsibilities
+from .engine import VARIANCE_FLOOR, FitState, coefficient_variance, dampening_weight, split_step
 from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseError, QuadratureUnderflowError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -318,10 +319,9 @@ def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarr
                   start: FusedScales, bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
     """Local marginal-likelihood polish of the scales, warm-started at ``start``.
 
-    One Nelder-Mead run in log-scale coordinates.  Used on re-learns inside
-    iterative drivers: a fresh global grid search can jump to a degenerate
-    near-delta corner once the latent means echo the neighbor anchors, whereas
-    a local refinement keeps hyperparameters on the path they converged along.
+    One Nelder-Mead run in log-scale coordinates; ``learn_scales`` polishes
+    its best grid point with it.  No iterative driver warm-starts it any
+    more: both the engine and the denoiser hold their scales once set.
     Never returns a worse point than ``start``.
     """
     # imported here, the one place that needs it, to keep it out of `import nash`
@@ -377,9 +377,10 @@ class FusedPrior:
     Neighbor anchors are read from the previous sweep's latent means
     (Jacobi style), so all per-node posteriors within a sweep are
     independent and the sweep is order-free.  The two global scales are
-    learned on the first update and then held: re-learning against anchors
-    the fit itself produced collapses the smoothness scale (see
-    ``DenoiseConfig``).
+    learned on the first update and then held; scales set before the first
+    update are held from the start, as the denoiser does.  Re-learning
+    against anchors the fit itself produced collapses the smoothness scale
+    (see ``DenoiseConfig``).
     """
 
     kind = "fused"
@@ -413,30 +414,23 @@ class FusedPrior:
 # ---------------------------------------------------------------------------
 
 
-LEARN_EVERY = 5  # sweeps between scale learns in ``denoise_image``
-
-
 @dataclass
 class DenoiseConfig:
     """Settings for ``denoise_image``.
 
-    The Laplace ``scales`` are used as given unless ``learn_scales`` is set,
-    which needs at least ``LEARN_EVERY`` sweeps.  Learning is opt-in: against
-    anchors the sweep itself produced, the exact marginal-likelihood optimum
-    collapses the smoothness scale and the denoiser then tracks the prior
-    instead of the data.
+    The Laplace ``scales`` are held for the whole run.  They are not learned:
+    against anchors the sweep itself produced, the exact marginal-likelihood
+    optimum collapses the smoothness scale and the denoiser then tracks the
+    prior instead of the data (see the README caveat on fused scale learning).
     """
 
     sweeps: int = 30
     scales: FusedScales = FusedScales(0.45, 0.15)
-    learn_scales: bool = False
     noise_sd: float | None = None
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ConfigError(f"need at least one sweep, got {self.sweeps}")
-        if self.learn_scales and self.sweeps < LEARN_EVERY:
-            raise ConfigError(f"learning the scales needs at least {LEARN_EVERY} sweeps, got {self.sweeps}")
         if self.noise_sd is not None and not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise ConfigError(f"noise sd must be positive and finite, got {self.noise_sd}")
 
@@ -458,11 +452,12 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
                   with_info: bool = False):
     """Denoise a single image under the fused prior on its 4-neighbor pixel grid.
 
-    The image is treated as a normal-means problem: each pixel observes its
-    own coefficient, so the dampening weight reduces to
-    sigma0^2 / (sigma^2 + sigma0^2).  With ``learn_scales`` enabled the Laplace
-    scales are re-fit every ``LEARN_EVERY`` sweeps (first a global search, then
-    warm-started refinements).  The returned matrix holds the final latent means.
+    The image is the regression model on the identity design: n = p pixels,
+    each observing its own coefficient, so every column has norm x_j^T x_j = 1
+    and the coefficient pass is the blend ``omega * y + (1 - omega) * b_bar``.
+    The rest of each sweep is the engine's ``split_step``; only the
+    residual-variance update is then held in a trust band.  The returned
+    matrix holds the final latent means.
     """
     if config is None:
         config = DenoiseConfig()
@@ -472,56 +467,50 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
     if not np.isfinite(noisy).all():
         raise ParseError("image contains non-finite pixels")
     height, width = noisy.shape
-    graph = Graph.grid4(height, width)
+    prior = FusedPrior(Graph.grid4(height, width))
+    prior.scales = config.scales
     y = noisy.ravel()
     n = y.size
 
     sd = config.noise_sd if config.noise_sd is not None else estimate_noise_sd(noisy)
-    sigma2_init = max(sd**2, 1e-12)
-    sigma2 = sigma2_init
-    sigma02 = max(float(np.var(y)) - sigma2, sigma2)
-    scales = config.scales
-    b_bar = np.zeros(n)
-    elbo_trace: list[float] = []
+    sigma2_init = max(sd**2, VARIANCE_FLOOR)
+    # b_bar starts as the prior's zero anchors; r_bar stays the residual at
+    # beta_bar = 0, since only its sum of squares is needed after that
+    state = FitState(
+        beta_bar=np.zeros(n),
+        b_bar=prior.b_prev,
+        b_var=np.zeros(n),
+        r_bar=y,
+        sigma2=sigma2_init,
+        sigma02=max(float(np.var(y)) - sigma2_init, sigma2_init),
+        s_j2=0.0,
+        beta_mle=y,
+        log_marginal=np.zeros(n),
+        null_prob=np.zeros(n),
+    )
     data_term: list[float] = []
 
-    for t in range(1, config.sweeps + 1):
-        omega = sigma02 / (sigma2 + sigma02)
-        s_2 = 1.0 / (1.0 / sigma2 + 1.0 / sigma02)
-        beta_bar = omega * y + (1.0 - omega) * b_bar
-        stats = fused_posterior_stats(beta_bar, sigma02, _neighbor_matrix(graph, b_bar), scales)
-        b_bar = stats.mean
-        gap2 = float(np.sum(stats.variance + (beta_bar - b_bar) ** 2))
-        t1 = (
-            -0.5 * n * math.log(2.0 * math.pi * sigma2)
-            - (float(np.sum((y - beta_bar) ** 2)) + n * s_2) / (2.0 * sigma2)
-            + 0.5 * n * (math.log(2.0 * math.pi * s_2) + 1.0)
-        )
-        t2 = -0.5 * n * math.log(2.0 * math.pi * sigma02) - (n * s_2 + gap2) / (2.0 * sigma02)
-        t3 = float(stats.log_marginal.sum()) + 0.5 * n * math.log(2.0 * math.pi * sigma02) + gap2 / (2.0 * sigma02)
-        elbo_trace.append(t1 + t2 + t3)
-        data_term.append(float(np.sum((y - b_bar) ** 2)))
-        if config.learn_scales and t % LEARN_EVERY == 0:
-            nbr = _neighbor_matrix(graph, b_bar)
-            if t == LEARN_EVERY:
-                scales = learn_scales(beta_bar, sigma02, nbr)
-            else:
-                scales = refine_scales(beta_bar, sigma02, nbr, scales)
+    for _ in range(config.sweeps):
+        state.s_j2 = coefficient_variance(1, state.sigma2, state.sigma02)
+        omega = dampening_weight(1, state.sigma2, state.sigma02)
+        state.beta_bar = omega * y + (1.0 - omega) * state.b_bar
+        # a transient residual summed by np.sum: a BLAS dot leaves OpenBLAS threads
+        # spinning, and a held residual would add a pixel array to the peak memory
+        split_step(state, prior, n, 1, float(np.sum((y - state.beta_bar) ** 2)))
+        data_term.append(float(np.sum((y - state.b_bar) ** 2)))
         # observation-variance refinement is confined to a trust band around
         # the known/estimated level: letting it absorb the cold-start misfit
         # collapses the split variance and freezes the iteration
-        sigma2 = float(np.clip(np.mean((y - beta_bar) ** 2) + s_2,
-                               sigma2_init / 4.0, sigma2_init * 4.0))
-        sigma02 = max(float(np.mean(s_2 + stats.variance + (beta_bar - b_bar) ** 2)), 1e-12)
+        state.sigma2 = float(np.clip(state.sigma2, sigma2_init / 4.0, sigma2_init * 4.0))
 
-    denoised = b_bar.reshape(height, width)
+    denoised = state.b_bar.reshape(height, width)
     if with_info:
         info = {
-            "elbo_trace": elbo_trace,
+            "elbo_trace": state.elbo_trace,
             "data_term": data_term,
-            "scales": scales,
-            "sigma2": sigma2,
-            "sigma02": sigma02,
+            "scales": prior.scales,
+            "sigma2": state.sigma2,
+            "sigma02": state.sigma02,
         }
         return denoised, info
     return denoised

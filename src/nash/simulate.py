@@ -39,6 +39,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigError(f"need at least one replicate, got {self.replicates}")
+        if self.n < 2 or self.p < 1:
+            raise ConfigError(f"need n >= 2 and p >= 1, got n={self.n}, p={self.p}")
         if not 0 <= self.s <= self.p:
             raise ConfigError(f"need 0 <= s <= p, got s={self.s}, p={self.p}")
         if not 0.0 <= self.pve < 1.0:
@@ -75,10 +77,14 @@ def _parse_dist(name: str):
     if name == "uniform":
         return ("uniform", None)
     if name.startswith("t(") and name.endswith(")"):
-        return ("t", int(name[2:-1]))
-    if name.startswith("t") and name[1:].isdigit():
-        return ("t", int(name[1:]))
-    raise ConfigError(f"unknown distribution {name!r}")
+        df = name[2:-1]
+    elif name.startswith("t") and name[1:].isdigit():
+        df = name[1:]
+    else:
+        raise ConfigError(f"unknown distribution {name!r}")
+    if not df.strip().isdecimal() or int(df) < 1:
+        raise ConfigError(f"t degrees of freedom must be a positive integer, got {df!r}")
+    return ("t", int(df))
 
 
 def gen_design(n: int, p: int, rho: float, seed) -> np.ndarray:

@@ -280,6 +280,14 @@ class TestSimulateCommand:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--n", "-5"], ["--noise-dist", "t(x)"], ["--noise-dist", "t(0)"]])
+    def test_bad_size_or_noise_law_is_single_line_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--experiment", "3", "--replicates", "1", "--n", "30",
+                     "--p", "5", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_grid_size_below_two_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -334,12 +342,13 @@ class TestDenoiseCommand:
         assert "--sigma" in err
         assert not out.exists()
 
-    def test_learn_scales_with_too_few_sweeps_rejected(self, tmp_path, capsys):
+    def test_learn_scales_option_removed(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
         write_pgm(str(src), piecewise_image(2, size=12))
         out = tmp_path / "out.pgm"
-        assert main(["denoise", "--image", str(src), "--out", str(out),
-                     "--learn-scales", "--sweeps", "4"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["denoise", "--image", str(src), "--out", str(out), "--learn-scales"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()

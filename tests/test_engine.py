@@ -57,24 +57,35 @@ def make_design(seed=0, n=30, p=6):
     return standardize(Dataset(y=y, X=X))
 
 
+def split_args(state, design):
+    """Observation count, column norm and residual sum of squares of a standardized fit."""
+    return design.n, design.n - 1, float(state.r_bar @ state.r_bar)
+
+
 class TestScalarOps:
     def test_dampening_weight_arithmetic(self):
-        assert dampening_weight(101, 1.0, 0.01) == pytest.approx(0.5, rel=1e-12)
+        assert dampening_weight(100, 1.0, 0.01) == pytest.approx(0.5, rel=1e-12)
 
     def test_dampening_weight_vanishing_prior_variance(self):
-        assert dampening_weight(50, 1.0, 1e-14) == pytest.approx(0.0, abs=1e-10)
+        assert dampening_weight(49, 1.0, 1e-14) == pytest.approx(0.0, abs=1e-10)
 
     def test_dampening_weight_symmetry_point(self):
         n, sigma2 = 40, 2.7
-        assert dampening_weight(n, sigma2, sigma2 / (n - 1)) == pytest.approx(0.5, rel=1e-12)
+        assert dampening_weight(n - 1, sigma2, sigma2 / (n - 1)) == pytest.approx(0.5, rel=1e-12)
 
     def test_dampening_weight_monotone_in_sigma02(self):
-        values = [dampening_weight(20, 1.0, v) for v in (0.01, 0.1, 1.0, 10.0)]
+        values = [dampening_weight(19, 1.0, v) for v in (0.01, 0.1, 1.0, 10.0)]
         assert np.all(np.diff(values) > 0)
+
+    def test_unit_column_norm_is_the_normal_means_case(self):
+        # the identity design of a denoised image: omega and s^2 lose the n-1
+        sigma2, sigma02 = 0.37, 0.011
+        assert dampening_weight(1, sigma2, sigma02) == sigma02 / (sigma2 + sigma02)
+        assert coefficient_variance(1, sigma2, sigma02) == 1.0 / (1.0 / sigma2 + 1.0 / sigma02)
 
     def test_dampening_weight_rejects_bad_variance(self):
         with pytest.raises(NonPositiveVarianceError):
-            dampening_weight(10, 0.0, 1.0)
+            dampening_weight(9, 0.0, 1.0)
 
 
 class TestPartialResidual:
@@ -149,7 +160,7 @@ class TestCoordinatePass:
         design = dataclasses.replace(design, Xs=np.asarray(design.Xs, order=order))
         state = self._state(design, rng)
         expected = copy.deepcopy(state)
-        omega = dampening_weight(design.n, state.sigma2, state.sigma02)
+        omega = dampening_weight(design.n - 1, state.sigma2, state.sigma02)
         for _ in range(3):
             _coordinate_pass(state, design, omega)
             textbook_coordinate_pass(expected, design, omega)
@@ -163,7 +174,7 @@ class TestCoordinatePass:
         state = self._state(design, rng)
         held = state.r_bar
         before = held.copy()
-        _coordinate_pass(state, design, dampening_weight(design.n, state.sigma2, state.sigma02))
+        _coordinate_pass(state, design, dampening_weight(design.n - 1, state.sigma2, state.sigma02))
         np.testing.assert_array_equal(held, before)
         assert state.r_bar is not held
         np.testing.assert_allclose(state.r_bar, design.ys - design.Xs @ state.beta_bar, atol=1e-12)
@@ -228,7 +239,7 @@ class TestSweep:
         sweep(state, design, prior)
         for _ in range(3):
             b_prev = state.b_bar.copy()
-            omega_before = dampening_weight(design.n, state.sigma2, state.sigma02)
+            omega_before = dampening_weight(design.n - 1, state.sigma2, state.sigma02)
             beta_inputs = None
 
             class Recorder:
@@ -270,7 +281,7 @@ class TestVarianceUpdates:
         design, state = self._fresh_state()
         state.r_bar = np.zeros(design.n)
         state.s_j2 = 0.0
-        assert update_sigma2(state, design) == 1e-12
+        assert update_sigma2(state, *split_args(state, design)) == 1e-12
 
     def test_sigma02_direct_formula(self):
         design, state = self._fresh_state()
@@ -281,11 +292,11 @@ class TestVarianceUpdates:
 
     def test_exact_cavi_maximizes_elbo_in_sigma2(self):
         design, state = self._fresh_state()
-        optimum = update_sigma2(state, design)
+        optimum = update_sigma2(state, *split_args(state, design))
         def elbo_at(sigma2):
             probe = copy.deepcopy(state)
             probe.sigma2 = sigma2
-            return compute_elbo(probe, design)
+            return compute_elbo(probe, *split_args(probe, design))
         assert elbo_at(optimum) > elbo_at(optimum * 1.1)
         assert elbo_at(optimum) > elbo_at(optimum * 0.9)
 
@@ -298,17 +309,17 @@ class TestVarianceUpdates:
         def t2_at(sigma02):
             probe = copy.deepcopy(state)
             probe.sigma02 = sigma02
-            return elbo_terms(probe, design)[1]
+            return elbo_terms(probe, *split_args(probe, design))[1]
         assert t2_at(optimum) > t2_at(optimum * 1.1)
         assert t2_at(optimum) > t2_at(optimum * 0.9)
 
     def test_doubling_sigma2_away_from_optimum_decreases_t1(self):
         design, state = self._fresh_state(seed=4)
-        state.sigma2 = update_sigma2(state, design)
-        t1_at_opt = elbo_terms(state, design)[0]
+        state.sigma2 = update_sigma2(state, *split_args(state, design))
+        t1_at_opt = elbo_terms(state, *split_args(state, design))[0]
         probe = copy.deepcopy(state)
         probe.sigma2 = state.sigma2 * 2.0
-        assert elbo_terms(probe, design)[0] < t1_at_opt
+        assert elbo_terms(probe, *split_args(probe, design))[0] < t1_at_opt
 
 
 class TestElbo:
@@ -316,7 +327,7 @@ class TestElbo:
         design = make_design()
         state = init_state(design, FitConfig())
         with pytest.raises(StaleStateError):
-            compute_elbo(state, design)
+            compute_elbo(state, *split_args(state, design))
 
     def test_invariant_to_covariate_reordering(self, rng):
         # the ELBO is symmetric in the coordinates: permuting the state and
@@ -326,7 +337,7 @@ class TestElbo:
         prior = FixedMixturePrior(MixtureGrid(np.array([0.0, 0.2, 1.0])),
                                   MixtureWeights(np.array([0.4, 0.3, 0.3])))
         state = run_sweeps(design, prior, FitConfig(), 4, step=held_variance_sweep)
-        baseline = compute_elbo(state, design)
+        baseline = compute_elbo(state, *split_args(state, design))
         perm = rng.permutation(6)
         permuted_design = type(design)(
             Xs=design.Xs[:, perm],
@@ -342,7 +353,7 @@ class TestElbo:
         permuted.beta_mle = state.beta_mle[perm]
         permuted.log_marginal = state.log_marginal[perm]
         permuted.null_prob = state.null_prob[perm]
-        assert compute_elbo(permuted, permuted_design) == pytest.approx(baseline, abs=1e-8)
+        assert compute_elbo(permuted, *split_args(permuted, permuted_design)) == pytest.approx(baseline, abs=1e-8)
 
     def test_matches_two_dimensional_quadrature(self):
         # independent oracle: integrate E_q[log joint - log q] on a dense
@@ -355,7 +366,7 @@ class TestElbo:
                                   MixtureWeights(np.array([0.0, 1.0])))
         config = FitConfig(init_sigma2=sigma2, init_sigma02=sigma02)
         state = run_sweeps(design, prior, config, 6, step=held_variance_sweep)
-        analytic = compute_elbo(state, design)
+        analytic = compute_elbo(state, *split_args(state, design))
 
         n = design.n
         beta_bar = state.beta_bar[0]
