@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError
 
@@ -123,6 +122,9 @@ def _log_weights(pi: np.ndarray) -> np.ndarray:
 
 def mixture_objective(log_lik: np.ndarray, pi: np.ndarray) -> float:
     """Marginal log likelihood sum_j log sum_m pi_m exp(L_jm)."""
+    # imported here to keep scipy out of `import nash`
+    from scipy.special import logsumexp
+
     return float(logsumexp(log_lik + _log_weights(pi)[None, :], axis=1).sum())
 
 

@@ -1,6 +1,6 @@
 """Command-line interface: fit, predict, simulate, denoise.
 
-Exit codes: 0 on success, 2 for usage or input problems, 3 for numeric
+Exit codes: 0 on success, 2 for usage, input or output problems, 3 for numeric
 failures.  Every error path emits a single diagnostic line prefixed with
 ``error:`` on stderr.
 """
@@ -271,6 +271,10 @@ def main(argv=None) -> int:
         return NUMERIC_ERROR
     except NashError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:  # an output file; the readers turn theirs into ParseError
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

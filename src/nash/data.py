@@ -162,6 +162,9 @@ def drop_constant_columns(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
 # CSV input
 # ---------------------------------------------------------------------------
 
+# Excel's "CSV UTF-8" export starts the file with a byte-order mark
+CSV_ENCODING = "utf-8-sig"
+
 
 def _parse_float(token: str, line: int, column: int) -> float:
     try:
@@ -173,13 +176,21 @@ def _parse_float(token: str, line: int, column: int) -> float:
     return value
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _open_csv(path: str):
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        return open(path, newline="", encoding=CSV_ENCODING)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    return rows
+
+
+def _read_rows(fh) -> list[list[str]]:
+    """The non-empty rows of an open CSV file, through the csv module."""
+    try:
+        return [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise ParseError(f"cannot read {fh.name}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{fh.name} is not UTF-8 text") from None
 
 
 def _looks_numeric(row: list[str]) -> bool:
@@ -191,13 +202,59 @@ def _looks_numeric(row: list[str]) -> bool:
     return True
 
 
+def _next_line(fh) -> tuple[int, str]:
+    """Offset and text of the next non-empty line; the text is empty at end of file."""
+    while True:
+        offset = fh.tell()
+        line = fh.readline()
+        if not line or line.rstrip("\r\n"):
+            return offset, line
+
+
+def _load_plain_csv(fh) -> tuple[np.ndarray, list[str] | None] | None:
+    """One ``np.loadtxt`` pass over a plain numeric CSV, or None to leave it to ``_read_rows``.
+
+    Gives up wherever the result could differ from the field-by-field parse:
+    on a quote in the first row, on no data rows, on any field ``loadtxt``
+    rejects (quoted fields, ``1_000``, ragged rows, undecodable bytes...), on
+    a header of another width and on non-finite entries.
+    """
+    try:
+        offset, line = _next_line(fh)
+        if not line or '"' in line:
+            return None
+        header = line.rstrip("\r\n").split(",")
+        if _looks_numeric(header):
+            header = None
+        else:
+            offset, line = _next_line(fh)
+            if not line:
+                return None
+        fh.seek(offset)
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (header is not None and data.shape[1] != len(header)) or not np.isfinite(data).all():
+        return None
+    return data, header
+
+
 def load_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     """Read a numeric CSV matrix, tolerating an optional header row.
 
     The header is detected by the first row failing to parse as numbers.
-    A header-only file yields a 0 x p matrix.
+    A header-only file yields a 0 x p matrix.  A plain numeric file is read
+    in one ``np.loadtxt`` pass; anything else, and any file that cannot be
+    read twice (a pipe), goes field by field through the csv module and
+    ``float``, which report the line and column of the first bad field.
     """
-    rows = _read_rows(path)
+    with _open_csv(path) as fh:
+        if fh.seekable():
+            plain = _load_plain_csv(fh)
+            if plain is not None:
+                return plain
+            fh.seek(0)
+        rows = _read_rows(fh)
     if not rows:
         raise ParseError(f"{path} is empty")
     header: list[str] | None = None
@@ -252,7 +309,8 @@ def _side_has_header(rows: list[list[str]]) -> bool:
 
 def load_side_csv(path: str) -> tuple[np.ndarray, list[str]]:
     """Read per-covariate side features; non-numeric columns are one-hot encoded."""
-    rows = _read_rows(path)
+    with _open_csv(path) as fh:
+        rows = _read_rows(fh)
     if not rows:
         raise ParseError(f"{path} is empty")
     header: list[str] | None = None

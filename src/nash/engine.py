@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot
 
 from .ash import PosteriorStats, PosteriorSummary
 from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
@@ -211,6 +210,9 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) 
     estimate against the partial residual r + x_j beta_j is
     x_j^T r / (n-1) + beta_j, so the partial residual is never formed.
     """
+    # imported once per sweep, here to keep scipy out of `import nash`
+    from scipy.linalg.blas import daxpy, ddot
+
     Xs = np.asfortranarray(design.Xs, dtype=float)
     n, p = Xs.shape
     columns = Xs.ravel(order="F")

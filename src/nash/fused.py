@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .ash import PosteriorStats, _responsibilities
+from .data import CSV_ENCODING
 from .engine import VARIANCE_FLOOR, FitState, coefficient_variance, dampening_weight, split_step
 from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseError, QuadratureUnderflowError
 
@@ -120,7 +120,7 @@ def load_graph_edges_csv(path: str, p: int, kind: str = "general") -> Graph:
     """Read an edge list (two integer columns per row) into a graph on p nodes."""
     edges = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=CSV_ENCODING) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 raw = raw.strip()
                 if not raw or raw.startswith("#"):
@@ -134,6 +134,8 @@ def load_graph_edges_csv(path: str, p: int, kind: str = "general") -> Graph:
                     raise ParseError(f"cannot parse edge {raw!r}", line=lineno) from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
     return Graph.from_edges(p, edges, kind=kind)
 
 
@@ -206,6 +208,9 @@ def _log_norm_diff(a_std: np.ndarray, c_std: np.ndarray) -> np.ndarray:
     Each entry's pair of arguments is chosen first, so ``log_ndtr`` runs once
     per bound.
     """
+    # imported here to keep scipy out of `import nash`
+    from scipy.special import log_ndtr
+
     right = a_std + c_std > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         upper = log_ndtr(np.where(right, -a_std, c_std))
@@ -222,6 +227,9 @@ def _segment_moments(sigma02: float, bps, slopes, intercepts):
     differences (one ``log_ndtr`` per outer segment), moments truncated-normal
     moments.  Returns the centered mean, the variance and the log integral.
     """
+    # imported here to keep scipy out of `import nash`
+    from scipy.special import log_ndtr
+
     sigma0 = math.sqrt(sigma02)
     mu_star = slopes * sigma02
     a_std = (bps - mu_star[1:]) / sigma0  # lower bounds of segments 1..F

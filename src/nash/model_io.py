@@ -72,6 +72,8 @@ def load_model(path: str) -> ModelFile:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed model file: {exc.msg}", line=exc.lineno) from None
     try:

@@ -43,12 +43,12 @@ def read_pgm(path: str) -> np.ndarray:
         raise ParseError(f"invalid PGM dimensions {width}x{height}, maxval {maxval}")
     if magic == b"P5":
         body = raw[pos + 1:]  # single whitespace byte after maxval
-        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         count = width * height
-        data = np.frombuffer(body, dtype=dtype, count=-1)
-        if data.size < count:
-            raise ParseError(f"expected {count} pixels, found {data.size}")
-        values = data[:count].astype(float)
+        found = len(body) // dtype.itemsize
+        if found < count:
+            raise ParseError(f"expected {count} pixels, found {found}")
+        values = np.frombuffer(body, dtype=dtype, count=count).astype(float)
     else:
         fields = raw[pos:].split()
         if len(fields) < width * height:

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .ash import AshPrior
 from .data import Dataset, SideInfo
@@ -142,6 +141,9 @@ def _noise(rng, family, df, sd, size):
         draws = rng.standard_t(df, size=size)
         if df > 2:
             return draws * sd * np.sqrt((df - 2.0) / df)
+        # imported here to keep scipy out of `import nash`
+        from scipy.special import stdtrit
+
         scale = sd * GAUSSIAN_MAD / float(stdtrit(df, 0.75))
         return draws * scale
     raise ConfigError(f"{family!r} is not a noise distribution")

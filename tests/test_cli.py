@@ -371,6 +371,65 @@ class TestDenoiseCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _latin1(path):
+    path.write_bytes("0,1\n1,2\n\u00e9t\u00e9,3\n".encode("latin-1"))
+    return str(path)
+
+
+def _odd_p5(path):
+    # 16-bit P5 whose body stops one byte into its last pixel
+    path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00\x01" * 3 + b"\x00")
+    return str(path)
+
+
+def _model(x, y, tmp):
+    assert main(["fit", "--x", x, "--y", y, "--out", str(tmp / "m.json")]) == 0
+    return str(tmp / "m.json")
+
+
+def _image(tmp):
+    write_pgm(str(tmp / "img.pgm"), piecewise_image(1, size=8))
+    return str(tmp / "img.pgm")
+
+
+# each builds the command line from (x.csv, y.csv, tmp_path); "missing/out" names no directory
+_IO_ERRORS = {
+    "non-UTF-8 --x": lambda x, y, tmp: ["fit", "--x", _latin1(tmp / "bad.csv"), "--y", y,
+                                        "--out", str(tmp / "m.json")],
+    "non-UTF-8 --y": lambda x, y, tmp: ["fit", "--x", x, "--y", _latin1(tmp / "bad.csv"),
+                                        "--out", str(tmp / "m.json")],
+    "non-UTF-8 --side features": lambda x, y, tmp: ["fit", "--x", x, "--y", y, "--prior", "softmax",
+                                                    "--side", _latin1(tmp / "bad.csv"),
+                                                    "--out", str(tmp / "m.json")],
+    "non-UTF-8 --side edges": lambda x, y, tmp: ["fit", "--x", x, "--y", y, "--prior", "fused",
+                                                 "--side", _latin1(tmp / "bad.csv"),
+                                                 "--out", str(tmp / "m.json")],
+    "non-UTF-8 --model": lambda x, y, tmp: ["predict", "--model", _latin1(tmp / "bad.json"), "--x", x,
+                                            "--out", str(tmp / "p.csv")],
+    "odd P5 image": lambda x, y, tmp: ["denoise", "--image", _odd_p5(tmp / "odd.pgm"),
+                                       "--out", str(tmp / "o.pgm")],
+    "fit --out": lambda x, y, tmp: ["fit", "--x", x, "--y", y, "--out", str(tmp / "missing/out")],
+    "predict --out": lambda x, y, tmp: ["predict", "--model", _model(x, y, tmp), "--x", x,
+                                        "--out", str(tmp / "missing/out")],
+    "simulate --out": lambda x, y, tmp: ["simulate", "--experiment", "3", "--replicates", "1",
+                                         "--n", "20", "--p", "5", "--out", str(tmp / "missing/out")],
+    "denoise --out": lambda x, y, tmp: ["denoise", "--image", _image(tmp),
+                                        "--out", str(tmp / "missing/out")],
+}
+
+
+class TestIoErrors:
+    @pytest.mark.parametrize("case", list(_IO_ERRORS))
+    def test_unreadable_input_or_unwritable_output_is_single_line_error(
+            self, regression_files, tmp_path, capsys, case):
+        _, _, x_path, y_path = regression_files
+        argv = _IO_ERRORS[case](x_path, y_path, tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 class TestUsage:
     @pytest.mark.parametrize("command", ["fit", "predict", "simulate", "denoise"])
     def test_help_exits_zero(self, command, capsys):

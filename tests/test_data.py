@@ -1,10 +1,15 @@
 """Tests for data ingestion, standardization and back-transformation."""
 
+import csv
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nash.data
 from nash.data import (
     Dataset,
     SideInfo,
@@ -190,6 +195,167 @@ class TestCsv:
         path = tmp_path / "y.csv"
         path.write_text("1,100\n2,200\n")
         np.testing.assert_array_equal(load_response_csv(str(path)), [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, header", [
+        ("\ufeff1,2\n3,4\n", None),
+        ("\ufeffa,b\n1,2\n3,4\n", ["a", "b"]),
+        ('\ufeff"a",b\r\n1,2\r\n3,4\r\n', ["a", "b"]),  # quoted: the field-by-field parser
+    ])
+    def test_byte_order_mark_is_not_part_of_the_first_field(self, tmp_path, text, header):
+        # Excel's "CSV UTF-8" export writes a BOM; read as text it made the first row a header
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        matrix, found = load_matrix_csv(str(path))
+        assert found == header
+        np.testing.assert_array_equal(matrix, [[1, 2], [3, 4]])
+
+    def test_byte_order_mark_in_side_csv(self, tmp_path):
+        path = tmp_path / "side.csv"
+        path.write_bytes("\ufeff1.5,b\n2.0,a\n".encode("utf-8"))
+        D, labels = load_side_csv(str(path))
+        assert labels == ["c0", "c1=a", "c1=b"]
+        np.testing.assert_array_equal(D, [[1.5, 0, 1], [2.0, 1, 0]])
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n\xe9,3\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_matrix_csv(str(path))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        # a pipe cannot be rewound, so it goes straight to the field-by-field parser
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"a,b\r\n1,2\r\n3,4\r\n")
+            os.close(write_end)
+            matrix, header = load_matrix_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(matrix, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n",
+        "a,b\r\n1e-3, -2\r\n\r\n3.5,4\r\n",
+        "\ufeffx\n1\n2",
+    ])
+    def test_plain_numeric_file_takes_one_loadtxt_pass(self, tmp_path, monkeypatch, text):
+        def careful_parser(fh):
+            raise AssertionError("the field-by-field parser ran on a plain numeric file")
+
+        monkeypatch.setattr(nash.data, "_read_rows", careful_parser)
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        matrix, _ = load_matrix_csv(str(path))
+        assert matrix.shape[0] == 2
+        assert load_response_csv(str(path)).shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# The loadtxt pass against the field-by-field parser it replaced as the only one
+# ---------------------------------------------------------------------------
+
+
+def reference_load_matrix_csv(path):
+    """``load_matrix_csv`` as it was before the ``np.loadtxt`` pass: csv module plus ``float``."""
+
+    def parse_float(token, line, column):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"cannot parse {token!r} as a number", line, column) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {token!r}", line, column)
+        return value
+
+    def looks_numeric(row):
+        for token in row:
+            try:
+                float(token)
+            except ValueError:
+                return False
+        return True
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    if not rows:
+        raise ParseError(f"{path} is empty")
+    header = None
+    start = 0
+    if not looks_numeric(rows[0]):
+        header = rows[0]
+        start = 1
+    width = len(header) if header else len(rows[start]) if len(rows) > start else 0
+    data = np.empty((len(rows) - start, width))
+    for i, row in enumerate(rows[start:], start=start):
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, found {len(row)}", line=i + 1)
+        for j, token in enumerate(row):
+            data[i - start, j] = parse_float(token, i + 1, j + 1)
+    return data, header
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number = st.one_of(_finite.map(repr), _finite.map(lambda v: "%.17g" % v),
+                    st.integers(-10**6, 10**6).map(str))
+_padded = st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _number,
+                    st.sampled_from(["", " "])).map("".join)
+# tokens the loadtxt pass must hand to the field-by-field parser
+_odd = st.sampled_from(['"1.5"', "1_0", "nan", "1e400", "-inf", "", " ", "x", "#1", "1e-400", "0x10"])
+_cell = st.one_of(_padded, _padded, _padded, _odd)
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    odd = draw(st.booleans())
+    lines = []
+    header = draw(st.sampled_from([None, "plain", "quoted"]))
+    names = [f"c{j}" for j in range(max(1, width + draw(st.sampled_from([0, 0, -1, 1])) * odd))]
+    if header == "plain":
+        lines.append(",".join(names))
+    elif header == "quoted":
+        lines.append(",".join(f'"{name}"' for name in names))
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [draw(_cell if odd else _padded) for _ in range(width)]
+        if odd:
+            cells += draw(st.sampled_from([[], [], [], [""], ["1"]]))  # trailing comma, ragged row
+            if draw(st.booleans()) and len(cells) > 1:
+                cells.pop()
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "\t", "# comment"])) if odd else "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("parity") / "m.csv")
+
+
+class TestLoadtxtParity:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_matches_field_by_field_parser(self, csv_path, text):
+        path = csv_path
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        try:
+            expected = reference_load_matrix_csv(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_matrix_csv(path)
+            assert (err.value.line, err.value.column, str(err.value)) == (exc.line, exc.column, str(exc))
+            return
+        matrix, header = load_matrix_csv(path)
+        assert header == expected[1]
+        assert matrix.shape == expected[0].shape
+        assert matrix.tobytes() == expected[0].tobytes()
 
 
 class TestSideInfo:

@@ -141,3 +141,15 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
         with pytest.raises(ParseError):
             read_pgm(str(path))
+
+    @pytest.mark.parametrize("body, found", [(b"\x00\x01" * 3 + b"\x00", 3), (b"\x00", 0)])
+    def test_odd_length_16_bit_body_rejected(self, tmp_path, body, found):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 2\n65535\n" + body)
+        with pytest.raises(ParseError, match=f"expected 4 pixels, found {found}$"):
+            read_pgm(str(path))
+
+    def test_16_bit_body_with_trailing_byte_reads(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n\x00\x00\xff\xff\x07")
+        np.testing.assert_array_equal(read_pgm(str(path)), [[0.0, 1.0]])

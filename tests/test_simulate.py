@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_regression
 import nash
+from nash.cli import main
 from nash.errors import ConfigError, LengthMismatchError
 from nash.simulate import (
     GAUSSIAN_MAD,
@@ -151,6 +153,30 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_import_leaves_scipy_optimize_unloaded():
     assert _loaded_by_import_nash("scipy.optimize") == "False"
+
+
+def _scipy_modules_after(code: str) -> str:
+    probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nash.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                         check=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import nash") == "[]"
+
+
+def test_predict_leaves_scipy_unloaded(tmp_path):
+    X, y, _ = random_regression(5, n=20, p=4)
+    for name, rows in (("x.csv", X), ("y.csv", y[:, None])):
+        np.savetxt(tmp_path / name, rows, delimiter=",")
+    model, out = tmp_path / "m.json", tmp_path / "pred.csv"
+    assert main(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                 "--out", str(model)]) == 0
+    argv = ["predict", "--model", str(model), "--x", str(tmp_path / "x.csv"), "--out", str(out)]
+    assert _scipy_modules_after(f"import nash.cli\nassert nash.cli.main({argv!r}) == 0") == "[]"
+    assert len(out.read_text().splitlines()) == 20
 
 
 class TestScaledPredPerf:
