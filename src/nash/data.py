@@ -183,14 +183,19 @@ def _open_csv(path: str):
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _read_rows(fh) -> list[list[str]]:
-    """The non-empty rows of an open CSV file, through the csv module."""
+def _read_rows(fh) -> tuple[list[list[str]], list[int]]:
+    """The non-empty rows of an open CSV file, through the csv module, and the line each ends on.
+
+    Blank lines are dropped but still counted, so an error names the physical line.
+    """
+    reader = csv.reader(fh)
     try:
-        return [row for row in csv.reader(fh) if row]
+        numbered = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ParseError(f"cannot read {fh.name}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{fh.name} is not UTF-8 text") from None
+    return [row for _, row in numbered], [line for line, _ in numbered]
 
 
 def _looks_numeric(row: list[str]) -> bool:
@@ -254,7 +259,7 @@ def load_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
             if plain is not None:
                 return plain
             fh.seek(0)
-        rows = _read_rows(fh)
+        rows, lines = _read_rows(fh)
     if not rows:
         raise ParseError(f"{path} is empty")
     header: list[str] | None = None
@@ -266,9 +271,9 @@ def load_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     data = np.empty((len(rows) - start, width))
     for i, row in enumerate(rows[start:], start=start):
         if len(row) != width:
-            raise ParseError(f"expected {width} fields, found {len(row)}", line=i + 1)
+            raise ParseError(f"expected {width} fields, found {len(row)}", line=lines[i])
         for j, token in enumerate(row):
-            data[i - start, j] = _parse_float(token, i + 1, j + 1)
+            data[i - start, j] = _parse_float(token, lines[i], j + 1)
     return data, header
 
 
@@ -310,7 +315,7 @@ def _side_has_header(rows: list[list[str]]) -> bool:
 def load_side_csv(path: str) -> tuple[np.ndarray, list[str]]:
     """Read per-covariate side features; non-numeric columns are one-hot encoded."""
     with _open_csv(path) as fh:
-        rows = _read_rows(fh)
+        rows, lines = _read_rows(fh)
     if not rows:
         raise ParseError(f"{path} is empty")
     header: list[str] | None = None
@@ -324,14 +329,14 @@ def load_side_csv(path: str) -> tuple[np.ndarray, list[str]]:
     width = len(body[0])
     for i, row in enumerate(body):
         if len(row) != width:
-            raise ParseError(f"expected {width} fields, found {len(row)}", line=start + i + 1)
+            raise ParseError(f"expected {width} fields, found {len(row)}", line=lines[start + i])
     blocks: list[np.ndarray] = []
     labels: list[str] = []
     for j in range(width):
         col = [row[j] for row in body]
         name = header[j] if header else f"c{j}"
         if _looks_numeric(col):
-            parsed = np.array([_parse_float(v, start + i + 1, j + 1) for i, v in enumerate(col)])
+            parsed = np.array([_parse_float(v, lines[start + i], j + 1) for i, v in enumerate(col)])
             blocks.append(parsed[:, None])
             labels.append(name)
         else:

@@ -236,37 +236,31 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) 
     state.posterior_fresh = False
 
 
-def split_step(state: FitState, prior: PriorModel, n: int, c: float, rss: float) -> None:
-    """Everything of a sweep after the coefficient pass, recording the ELBO at its fresh point.
+def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> FitState:
+    """One full coordinate-ascent sweep, recording the ELBO at its fresh point.
 
-    Order of operations: prior refit plus latent posterior refresh, ELBO
-    evaluation (the only point in the sweep where the subposterior identity
-    holds), then the variance updates.  ``n`` counts observations, ``c`` is
-    the column norm x_j^T x_j (n-1 for a standardized design, 1 for the
-    identity design of a denoised image) and ``rss`` the residual sum of
-    squares after the pass, computed by the caller.
+    Order of operations: coefficient pass over the standardized columns
+    (norm n-1), prior refit plus latent posterior refresh, ELBO evaluation
+    (the only point in the sweep where the subposterior identity holds), then
+    the variance updates.
     """
+    n = design.Xs.shape[0]
+    state.s_j2 = coefficient_variance(n - 1, state.sigma2, state.sigma02)
+    _coordinate_pass(state, design, dampening_weight(n - 1, state.sigma2, state.sigma02))
+    rss = float(state.r_bar @ state.r_bar)
     stats = prior.update(state.beta_bar, state.sigma02)
     state.b_bar = np.asarray(stats.mean, dtype=float)
     state.b_var = np.asarray(stats.variance, dtype=float)
     state.null_prob = np.asarray(stats.null_prob, dtype=float)
     state.log_marginal = np.asarray(stats.log_marginal, dtype=float)
     state.posterior_fresh = True
-    state.elbo_trace.append(compute_elbo(state, n, c, rss))
-    state.sigma2 = update_sigma2(state, n, c, rss)
+    state.elbo_trace.append(compute_elbo(state, n, n - 1, rss))
+    state.sigma2 = update_sigma2(state, n, n - 1, rss)
     state.sigma02 = update_sigma02(state)
     # the subposterior identity behind term 3 is tied to the sigma02 the
     # normal-means step ran with, so new variances invalidate the ELBO point
     state.posterior_fresh = False
     state.sweep_count += 1
-
-
-def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> FitState:
-    """One full coordinate-ascent sweep: the pass over standardized columns (norm n-1), then ``split_step``."""
-    n = design.Xs.shape[0]
-    state.s_j2 = coefficient_variance(n - 1, state.sigma2, state.sigma02)
-    _coordinate_pass(state, design, dampening_weight(n - 1, state.sigma2, state.sigma02))
-    split_step(state, prior, n, n - 1, float(state.r_bar @ state.r_bar))
     return state
 
 

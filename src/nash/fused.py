@@ -25,7 +25,7 @@ import numpy as np
 
 from .ash import PosteriorStats, _responsibilities
 from .data import CSV_ENCODING
-from .engine import VARIANCE_FLOOR, FitState, coefficient_variance, dampening_weight, split_step
+from .engine import VARIANCE_FLOOR
 from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseError, QuadratureUnderflowError
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -424,9 +424,11 @@ class FusedPrior:
 
 @dataclass
 class DenoiseConfig:
-    """Settings for ``denoise_image``.
+    """Settings for ``denoise_image``: its sweep count, Laplace scales and noise sd.
 
-    The Laplace ``scales`` are held for the whole run.  They are not learned:
+    ``noise_sd`` None estimates the sd from the image; either way its square
+    is the noise variance of every sweep.  The Laplace ``scales`` are held
+    for the whole run.  They are not learned:
     against anchors the sweep itself produced, the exact marginal-likelihood
     optimum collapses the smoothness scale and the denoiser then tracks the
     prior instead of the data (see the README caveat on fused scale learning).
@@ -460,12 +462,18 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
                   with_info: bool = False):
     """Denoise a single image under the fused prior on its 4-neighbor pixel grid.
 
-    The image is the regression model on the identity design: n = p pixels,
-    each observing its own coefficient, so every column has norm x_j^T x_j = 1
-    and the coefficient pass is the blend ``omega * y + (1 - omega) * b_bar``.
-    The rest of each sweep is the engine's ``split_step``; only the
-    residual-variance update is then held in a trust band.  The returned
-    matrix holds the final latent means.
+    Each sweep is one ``FusedPrior.update`` against the pixels: the exact
+    fused posterior of every pixel given its own observation, with noise
+    variance sigma^2 = max(sd^2, 1e-12) held for the whole run and neighbor
+    anchors taken from the previous sweep's means (zero before the first).
+    ``sd`` is ``config.noise_sd`` or, when that is None, the estimate of
+    ``estimate_noise_sd``.  The returned matrix holds the last sweep's means.
+
+    With ``with_info`` an info dict comes back too.  Per sweep, its
+    ``elbo_trace`` holds the summed per-pixel log marginal likelihood under
+    the previous sweep's anchors -- a model that moves with the anchors, so
+    the trace is not a bound -- and ``data_term`` the sum of squares of y
+    minus the means.
     """
     if config is None:
         config = DenoiseConfig()
@@ -478,47 +486,23 @@ def denoise_image(noisy: np.ndarray, config: DenoiseConfig | None = None, *,
     prior = FusedPrior(Graph.grid4(height, width))
     prior.scales = config.scales
     y = noisy.ravel()
-    n = y.size
-
     sd = config.noise_sd if config.noise_sd is not None else estimate_noise_sd(noisy)
-    sigma2_init = max(sd**2, VARIANCE_FLOOR)
-    # b_bar starts as the prior's zero anchors; r_bar stays the residual at
-    # beta_bar = 0, since only its sum of squares is needed after that
-    state = FitState(
-        beta_bar=np.zeros(n),
-        b_bar=prior.b_prev,
-        b_var=np.zeros(n),
-        r_bar=y,
-        sigma2=sigma2_init,
-        sigma02=max(float(np.var(y)) - sigma2_init, sigma2_init),
-        s_j2=0.0,
-        beta_mle=y,
-        log_marginal=np.zeros(n),
-        null_prob=np.zeros(n),
-    )
+    sigma2 = max(sd**2, VARIANCE_FLOOR)
+    elbo_trace: list[float] = []
     data_term: list[float] = []
-
     for _ in range(config.sweeps):
-        state.s_j2 = coefficient_variance(1, state.sigma2, state.sigma02)
-        omega = dampening_weight(1, state.sigma2, state.sigma02)
-        state.beta_bar = omega * y + (1.0 - omega) * state.b_bar
-        # a transient residual summed by np.sum: a BLAS dot leaves OpenBLAS threads
-        # spinning, and a held residual would add a pixel array to the peak memory
-        split_step(state, prior, n, 1, float(np.sum((y - state.beta_bar) ** 2)))
-        data_term.append(float(np.sum((y - state.b_bar) ** 2)))
-        # observation-variance refinement is confined to a trust band around
-        # the known/estimated level: letting it absorb the cold-start misfit
-        # collapses the split variance and freezes the iteration
-        state.sigma2 = float(np.clip(state.sigma2, sigma2_init / 4.0, sigma2_init * 4.0))
+        stats = prior.update(y, sigma2)
+        elbo_trace.append(float(stats.log_marginal.sum()))
+        # a transient residual summed by np.sum: a BLAS dot leaves OpenBLAS threads spinning
+        data_term.append(float(np.sum((y - stats.mean) ** 2)))
 
-    denoised = state.b_bar.reshape(height, width)
+    denoised = prior.b_prev.reshape(height, width)
     if with_info:
         info = {
-            "elbo_trace": state.elbo_trace,
+            "elbo_trace": elbo_trace,
             "data_term": data_term,
             "scales": prior.scales,
-            "sigma2": state.sigma2,
-            "sigma02": state.sigma02,
+            "sigma2": sigma2,
         }
         return denoised, info
     return denoised

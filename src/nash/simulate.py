@@ -32,7 +32,6 @@ class SimulationConfig:
     coef_dist: str = "gaussian"
     noise_dist: str = "gaussian"
     replicates: int = 20
-    seed: int = 0
     test_fraction: float = 0.2
 
     def __post_init__(self):
@@ -266,7 +265,7 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
     if "s" not in overrides and "p" in overrides:
         # keep the default sparsity level feasible under a smaller dimension
         overrides["s"] = min(EXPERIMENT_DEFAULTS.s, overrides["p"])
-    base = replace(EXPERIMENT_DEFAULTS, seed=seed, **overrides)
+    base = replace(EXPERIMENT_DEFAULTS, **overrides)
     if fitter is None:
         fitter = ash_fitter()
     rows = []

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 
-def piecewise_image(seed: int, size: int = 28) -> np.ndarray:
-    """Random piecewise-constant image: a dim background with 2-4 bright rectangles."""
+def piecewise_image(seed: int, size: int = 28, background=(0.0, 0.15), levels=(0.3, 1.0)) -> np.ndarray:
+    """Random piecewise-constant image: a background level drawn from ``background``
+    with 2-4 rectangles at levels drawn from ``levels`` (by default dim and bright)."""
     rng = np.random.default_rng(seed)
-    img = np.full((size, size), rng.uniform(0.0, 0.15))
+    img = np.full((size, size), rng.uniform(*background))
     for _ in range(rng.integers(2, 5)):
         r0, c0 = rng.integers(0, size - 6, 2)
         h, w = rng.integers(5, 14, 2)
-        img[r0:r0 + h, c0:c0 + w] = rng.uniform(0.3, 1.0)
+        img[r0:r0 + h, c0:c0 + w] = rng.uniform(*levels)
     return img
 
 

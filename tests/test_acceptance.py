@@ -216,7 +216,7 @@ def test_a5_constant_side_info_matches_em():
 
 def test_a6_desk_scale_recovery():
     started = time.monotonic()
-    config = SimulationConfig(n=500, p=1000, s=5, pve=0.9, replicates=20, seed=0)
+    config = SimulationConfig(n=500, p=1000, s=5, pve=0.9, replicates=20)
     fitter = ash_fitter()
     ratios = []
     perfs, oracles = [], []
@@ -283,7 +283,7 @@ def test_a7_denoising():
 
 
 def test_a8_null_calibration():
-    config = SimulationConfig(n=500, p=1000, s=20, pve=0.0, replicates=20, seed=0)
+    config = SimulationConfig(n=500, p=1000, s=20, pve=0.0, replicates=20)
     fitter = ash_fitter()
     null_masses, perfs = [], []
     for rep in range(20):

@@ -179,6 +179,29 @@ class TestCsv:
             load_matrix_csv(str(path))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1,2\n\n\nx,3\n", 4, 1),
+        ("a,b\n1,2\n\n3,x\n", 4, 2),
+        ("a,b\r\n\r\n1,2\r\n3\r\n", 4, None),
+    ])
+    def test_error_names_the_physical_line_after_blank_lines(self, tmp_path, text, line, column):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ParseError) as err:
+            load_matrix_csv(str(path))
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("1.5,b\n\n2.0,a,c\n", 3, None),
+        ("x,y\n\n1.5,b\n\n1e999,a\n", 5, 1),
+    ])
+    def test_side_csv_error_names_the_physical_line(self, tmp_path, text, line, column):
+        path = tmp_path / "side.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_side_csv(str(path))
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")
@@ -258,7 +281,10 @@ class TestCsv:
 
 
 def reference_load_matrix_csv(path):
-    """``load_matrix_csv`` as it was before the ``np.loadtxt`` pass: csv module plus ``float``."""
+    """``load_matrix_csv`` as it was before the ``np.loadtxt`` pass: csv module plus ``float``.
+
+    Errors name the physical line that ``csv.reader`` ended the row on, blank lines counted.
+    """
 
     def parse_float(token, line, column):
         try:
@@ -279,9 +305,11 @@ def reference_load_matrix_csv(path):
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            numbered = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    rows = [row for _, row in numbered]
     if not rows:
         raise ParseError(f"{path} is empty")
     header = None
@@ -293,9 +321,9 @@ def reference_load_matrix_csv(path):
     data = np.empty((len(rows) - start, width))
     for i, row in enumerate(rows[start:], start=start):
         if len(row) != width:
-            raise ParseError(f"expected {width} fields, found {len(row)}", line=i + 1)
+            raise ParseError(f"expected {width} fields, found {len(row)}", line=numbered[i][0])
         for j, token in enumerate(row):
-            data[i - start, j] = parse_float(token, i + 1, j + 1)
+            data[i - start, j] = parse_float(token, numbered[i][0], j + 1)
     return data, header
 
 

@@ -78,7 +78,7 @@ class TestScalarOps:
         assert np.all(np.diff(values) > 0)
 
     def test_unit_column_norm_is_the_normal_means_case(self):
-        # the identity design of a denoised image: omega and s^2 lose the n-1
+        # the identity design: omega and s^2 lose the n-1
         sigma2, sigma02 = 0.37, 0.011
         assert dampening_weight(1, sigma2, sigma02) == sigma02 / (sigma2 + sigma02)
         assert coefficient_variance(1, sigma2, sigma02) == 1.0 / (1.0 / sigma2 + 1.0 / sigma02)

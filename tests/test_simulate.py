@@ -194,7 +194,7 @@ class TestScaledPredPerf:
         assert scaled_pred_perf(y, np.full(10_000, y.mean()), 1.0) == pytest.approx(1.0, abs=0.05)
 
     def test_oracle_prediction_approaches_inverse_sd(self):
-        config = SimulationConfig(n=200, p=5, s=5, pve=0.5, test_fraction=0.98, seed=0)
+        config = SimulationConfig(n=200, p=5, s=5, pve=0.5, test_fraction=0.98)
         # large test split so the empirical RMSE concentrates
         X_tr, y_tr, X_te, y_te, b, sigma2_true = simulate_dataset(config, 123)
         perf = scaled_pred_perf(y_te, X_te @ b, sigma2_true)
