@@ -234,6 +234,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_denoise(args) -> int:
     noisy = read_pgm(args.image)
+    # the truth is checked before any work, so a bad one leaves no --out behind
+    truth = read_pgm(args.truth) if args.truth else None
+    if truth is not None and truth.shape != noisy.shape:
+        raise DimensionMismatchError(f"truth shape {truth.shape} differs from image {noisy.shape}")
     config = DenoiseConfig(
         sweeps=args.sweeps,
         scales=FusedScales(args.s1, args.s2),
@@ -241,10 +245,7 @@ def cmd_denoise(args) -> int:
     )
     denoised = denoise_image(noisy, config)
     write_pgm(args.out, denoised)
-    if args.truth:
-        truth = read_pgm(args.truth)
-        if truth.shape != noisy.shape:
-            raise DimensionMismatchError(f"truth shape {truth.shape} differs from image {noisy.shape}")
+    if truth is not None:
         print(f"rmse_noisy={rmse(noisy, truth)!r} rmse_denoised={rmse(denoised, truth)!r}")
     else:
         print(f"wrote {args.out}")

@@ -323,6 +323,19 @@ class TestDenoiseCommand:
         values = dict(part.split("=") for part in stdout.split())
         assert float(values["rmse_denoised"]) < float(values["rmse_noisy"])
 
+    @pytest.mark.parametrize("truth", ["missing", "wrong-shape"])
+    def test_bad_truth_rejected_before_writing(self, tmp_path, capsys, truth):
+        src = tmp_path / "in.pgm"
+        write_pgm(str(src), piecewise_image(2, size=64))
+        path = tmp_path / "truth.pgm"
+        if truth == "wrong-shape":
+            write_pgm(str(path), np.zeros((8, 8)))
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--image", str(src), "--out", str(out), "--truth", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_sweeps_below_one_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
         write_pgm(str(src), piecewise_image(2, size=12))

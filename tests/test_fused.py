@@ -1,5 +1,7 @@
 """Tests for graph priors, exact segment posteriors, scale learning, denoising."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
@@ -15,9 +17,12 @@ from nash.fused import (
     FusedPrior,
     FusedScales,
     Graph,
+    _factor_arrays,
+    _log_exp_integrals,
     _log_norm_diff,
     _neighbor_matrix,
     _segment_moments,
+    _segments,
     denoise_image,
     estimate_noise_sd,
     fused_log_density,
@@ -125,6 +130,82 @@ def reference_fused_posterior_stats(beta_bar, sigma02, nbr, scales):
     return beta_bar + mean_u, np.maximum(second_u - mean_u**2, 0.0), log_total - log_prior_mass
 
 
+def reference_segments(mus, inv_scales):
+    """The segment builder before running sums: ``cumsum`` over ``vstack``-built stacks."""
+    bps, inv = list(mus), list(inv_scales)
+    for top in range(len(bps) - 1, 0, -1):
+        for k in range(top):
+            swap = bps[k] > bps[k + 1]
+            bps[k], bps[k + 1] = np.minimum(bps[k], bps[k + 1]), np.maximum(bps[k], bps[k + 1])
+            inv[k], inv[k + 1] = np.where(swap, inv[k + 1], inv[k]), np.where(swap, inv[k], inv[k + 1])
+    bps, inv = np.array(bps), np.array(inv)
+    zero = np.zeros_like(bps[:1])
+    prefix = np.cumsum(np.vstack([zero, inv]), axis=0)
+    weighted = np.cumsum(np.vstack([zero, inv * bps]), axis=0)
+    return bps, prefix[-1] - 2.0 * prefix, 2.0 * weighted - weighted[-1]
+
+
+def reference_log_exp_integrals(bps, slopes, intercepts):
+    """The prior normalizer before preallocated rows: a ``vstack`` of the three row kinds."""
+    total, slope, width = slopes[:1], slopes[1:-1], bps[1:] - bps[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tilted = intercepts[1:-1] + slope * np.where(slope > 0, bps[1:], bps[:-1]) \
+            - np.log(np.abs(slope)) + np.log1p(-np.exp(-np.abs(slope) * width))
+        inner = np.where(slope != 0, tilted, intercepts[1:-1] + np.log(width))
+    log_segment = np.vstack([intercepts[:1] + total * bps[:1] - np.log(total),
+                             np.where(width > 0, inner, -np.inf),
+                             intercepts[-1:] - total * bps[-1:] - np.log(total)])
+    return _responsibilities(log_segment.T)[0]
+
+
+def reference_segment_moments(sigma02, bps, slopes, intercepts):
+    """The segment moments before preallocated rows: ``vstack``-built (S, p) stacks."""
+    sigma0 = math.sqrt(sigma02)
+    mu_star = slopes * sigma02
+    a_std = (bps - mu_star[1:]) / sigma0  # lower bounds of segments 1..F
+    c_std = (bps - mu_star[:-1]) / sigma0  # upper bounds of segments 0..F-1
+    log_diff = np.vstack([log_ndtr(c_std[:1]), _log_norm_diff(a_std[:-1], c_std[1:]), log_ndtr(-a_std[-1:])])
+    log_mass = intercepts + 0.5 * slopes**2 * sigma02 + log_diff
+    with np.errstate(invalid="ignore"):
+        log_total, shares = _responsibilities(log_mass.T)  # (p, S) views of (S, p) arrays
+    weights = shares.T
+    if not np.isfinite(log_total).all():
+        raise QuadratureUnderflowError("posterior mass vanished in every segment")
+    with np.errstate(invalid="ignore", over="ignore"):
+        hazard_a = np.where(log_diff[1:] > -np.inf, np.exp(-0.5 * a_std**2 - HALF_LOG_2PI - log_diff[1:]), 0.0)
+        hazard_c = np.where(log_diff[:-1] > -np.inf, np.exp(-0.5 * c_std**2 - HALF_LOG_2PI - log_diff[:-1]), 0.0)
+        term_a, term_c = (mu_star[1:] + bps) * hazard_a, (mu_star[:-1] + bps) * hazard_c
+        # per segment: lower-bound term minus upper-bound term, none at an open end
+        seg_mean = mu_star + sigma0 * np.vstack([-hazard_c[:1], hazard_a[:-1] - hazard_c[1:], hazard_a[-1:]])
+        seg_second = mu_star**2 + sigma02 + sigma0 * np.vstack([-term_c[:1], term_a[:-1] - term_c[1:], term_a[-1:]])
+        mean_u = (weights * np.where(weights > 0, seg_mean, 0.0)).sum(axis=0)
+        second_u = (weights * np.where(weights > 0, seg_second, 0.0)).sum(axis=0)
+    variance = np.maximum(second_u - mean_u**2, 0.0)
+    return mean_u, variance, log_total
+
+
+def reference_posterior(beta_bar, sigma02, nbr, scales):
+    """One unblocked pass over the reference kernels: mean, variance, normalized log marginal."""
+    mus, inv = _factor_arrays(np.asarray(nbr, dtype=float), scales)
+    segments = reference_segments(mus - beta_bar, inv)
+    mean_u, variance, log_integral = reference_segment_moments(sigma02, *segments)
+    return beta_bar + mean_u, variance, log_integral - reference_log_exp_integrals(*segments)
+
+
+def reference_denoise(noisy, config):
+    """``denoise_image`` as a loop over the reference kernels: image, trace and data term."""
+    height, width = noisy.shape
+    graph, y = Graph.grid4(height, width), noisy.ravel()
+    sd = config.noise_sd if config.noise_sd is not None else estimate_noise_sd(noisy)
+    sigma2 = max(sd**2, 1e-12)
+    means, trace, data_term = np.zeros(y.size), [], []
+    for _ in range(config.sweeps):
+        means, _, log_marginal = reference_posterior(y, sigma2, _neighbor_matrix(graph, means), config.scales)
+        trace.append(float(log_marginal.sum()))
+        data_term.append(float(np.sum((y - means) ** 2)))
+    return means.reshape(height, width), trace, data_term
+
+
 def reference_chain(p):
     return [np.array([j for j in (i - 1, i + 1) if 0 <= j < p], dtype=int) for i in range(p)]
 
@@ -206,6 +287,11 @@ def _graph_cases():
     for seed in (0, 1, 2):
         p, edges = _random_edges(seed)
         cases[f"random{seed}"] = (Graph.from_edges(p, edges), reference_from_edges(p, edges))
+    # no keys, or one key repeated, for the sorted-neighbour dedupe
+    repeated = [(1, 2), (2, 1), (1, 2), (2, 1)]
+    cases["no_edges"] = (Graph.from_edges(3, []), reference_from_edges(3, []))
+    cases["one_pair_repeated"] = (Graph.from_edges(4, repeated), reference_from_edges(4, repeated))
+    cases["grid1x1"] = (Graph.grid4(1, 1), reference_grid4(1, 1))
     return cases
 
 
@@ -431,6 +517,94 @@ class TestFusedPosteriorStats:
         stats = fused_posterior_stats(rng.normal(0, 1, 6), 0.2,
                                       rng.normal(0, 1, (6, 1)), FusedScales(0.5, 0.5))
         np.testing.assert_array_equal(stats.null_prob, np.zeros(6))
+
+
+def _kernel_cases():
+    """Random factor rows, (F, p) for F = 1, 2, 3, with what the network and sums must keep.
+
+    Half the centers and a fifth of the observations come from a three-value
+    set, so factors tie and observations sit on breakpoints; a quarter of the
+    neighbor factors are inert, as NaN neighbors make them.  Scales span
+    1e-3..10 and sigma0^2 1e-4..3.
+    """
+    rng = np.random.default_rng(19)
+    for trial in range(150):
+        factors, p = 1 + trial % 3, int(rng.integers(1, 40))
+        s1, s2 = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 2))
+        sigma02 = float(np.exp(rng.uniform(math.log(1e-4), math.log(3.0))))
+        shared = lambda shape: rng.choice([0.0, 0.5, -1.3], shape)
+        centers = np.where(rng.random((factors, p)) < 0.5, shared((factors, p)), rng.normal(0, 2, (factors, p)))
+        beta_bar = np.where(rng.random(p) < 0.2, shared(p), rng.normal(0, 2, p))
+        inv = np.full((factors, p), 1.0 / s2)
+        inert = rng.random((factors, p)) < 0.25
+        centers[0], inv[0], inert[0] = 0.0, 1.0 / s1, False
+        centers[inert], inv[inert] = 0.0, 0.0
+        yield sigma02, centers - beta_bar, inv
+
+
+def _moments_outcome(moments, sigma02, segments):
+    """The moments, or None when the posterior mass underflows."""
+    try:
+        return moments(sigma02, *segments)
+    except QuadratureUnderflowError:
+        return None
+
+
+class TestKernelParity:
+    """The running-sum, preallocated-row and blocked kernels give the old kernels' bits."""
+
+    def test_kernels_match_reference_bit_for_bit(self):
+        factor_counts, raised = set(), 0
+        for sigma02, mus, inv in _kernel_cases():
+            segments = _segments(mus, inv)
+            expected = reference_segments(mus, inv)
+            assert all(np.array_equal(got, want) for got, want in zip(segments, expected))
+            assert np.array_equal(_log_exp_integrals(*segments), reference_log_exp_integrals(*segments))
+            bps, slopes, intercepts = segments
+            # a node whose every segment has vanished mass (-inf or NaN intercepts) must raise in both
+            for bad in (None, -np.inf, np.nan):
+                if bad is not None:
+                    intercepts = segments[2].copy()
+                    intercepts[:, -1] = bad
+                got = _moments_outcome(_segment_moments, sigma02, (bps, slopes, intercepts))
+                want = _moments_outcome(reference_segment_moments, sigma02, (bps, slopes, intercepts))
+                assert (got is None) == (want is None)
+                if got is None:
+                    raised += 1
+                else:
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            factor_counts.add(len(mus))
+        assert factor_counts == {1, 2, 3} and raised == 300
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_blocked_posterior_matches_reference(self, monkeypatch, width):
+        # blocks of 7 nodes split all but the smallest inputs below
+        monkeypatch.setattr(fused, "POSTERIOR_BLOCK", 7)
+        rng = np.random.default_rng(width)
+        for _ in range(30):
+            p = int(rng.integers(1, 60))
+            scales = FusedScales(*np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 2)))
+            sigma02 = float(np.exp(rng.uniform(math.log(1e-4), math.log(3.0))))
+            nbr = np.where(rng.random((p, width)) < 0.5, rng.choice([0.0, 0.5], (p, width)),
+                           rng.normal(0, 1, (p, width)))
+            nbr[rng.random((p, width)) < 0.2] = np.nan
+            beta_bar = np.where(rng.random(p) < 0.2, 0.5, rng.normal(0, 1, p))
+            stats = fused_posterior_stats(beta_bar, sigma02, nbr, scales)
+            expected = reference_posterior(beta_bar, sigma02, nbr, scales)
+            for got, want in zip((stats.mean, stats.variance, stats.log_marginal), expected):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    def test_denoise_matches_reference_loop(self, monkeypatch, block):
+        if block is not None:  # 64 x 64 pixels in one block by default, in five here
+            monkeypatch.setattr(fused, "POSTERIOR_BLOCK", block)
+        image = piecewise_image(9, size=64)
+        noisy = image + np.random.default_rng(9).normal(0, 0.2, image.shape)
+        config = DenoiseConfig(sweeps=8, noise_sd=0.2)
+        out, info = denoise_image(noisy, config, with_info=True)
+        image, trace, data_term = reference_denoise(noisy, config)
+        assert np.array_equal(out, image)
+        assert info["elbo_trace"] == trace and info["data_term"] == data_term
 
 
 class TestLearnScales:
