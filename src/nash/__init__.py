@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .ash import AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, PosteriorSummary
+from .ash import AshPrior, MixtureGrid, MixtureWeights, PosteriorStats
 from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
 from .engine import FitConfig, FitResult, FitState, fit, predict
 from .fused import DenoiseConfig, FusedPrior, FusedScales, Graph, denoise_image
@@ -24,7 +24,6 @@ __all__ = [
     "MixtureGrid",
     "MixtureWeights",
     "PosteriorStats",
-    "PosteriorSummary",
     "SideInfo",
     "SimulationConfig",
     "SoftmaxPrior",

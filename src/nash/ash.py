@@ -61,31 +61,13 @@ class MixtureWeights:
 
 
 @dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-coordinate posterior summary under the estimated prior."""
-
-    mean: float
-    variance: float
-    null_prob: float
-    log_marginal: float
-
-
-@dataclass(frozen=True)
 class PosteriorStats:
-    """Vectorized posterior summaries for all coordinates."""
+    """Posterior summaries of every coordinate, one array entry per coordinate."""
 
     mean: np.ndarray
     variance: np.ndarray
     null_prob: np.ndarray
     log_marginal: np.ndarray
-
-    def summary(self, j: int) -> PosteriorSummary:
-        return PosteriorSummary(
-            mean=float(self.mean[j]),
-            variance=float(self.variance[j]),
-            null_prob=float(self.null_prob[j]),
-            log_marginal=float(self.log_marginal[j]),
-        )
 
 
 def default_grid(beta_bar: np.ndarray, sigma02: float, n_components: int = 20) -> MixtureGrid:
@@ -228,17 +210,6 @@ def mixture_posterior_stats(
     # conjugate posterior of each zero-mean component
     shrink = grid.variances[None, :] / (grid.variances[None, :] + sigma02)
     return _mixture_stats(a, beta_bar[:, None] * shrink, sigma02 * shrink)
-
-
-def posterior_summary(
-    beta_bar_j: float,
-    sigma02: float,
-    grid: MixtureGrid,
-    weights: MixtureWeights,
-) -> PosteriorSummary:
-    """Posterior summary of a single coordinate under the mixture prior."""
-    stats = mixture_posterior_stats(np.array([beta_bar_j]), sigma02, grid, weights)
-    return stats.summary(0)
 
 
 class AshPrior:

@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .ash import PosteriorStats, PosteriorSummary
+from .ash import PosteriorStats
 from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
 from .errors import (
     ConfigError,
@@ -72,26 +72,22 @@ class FitConfig:
 
 @dataclass
 class FitState:
-    """Mutable state of one fit, in standardized coordinates."""
+    """Mutable state of one fit, in standardized coordinates; ``posterior`` is the last prior step's."""
 
     beta_bar: np.ndarray
-    b_bar: np.ndarray
-    b_var: np.ndarray
     r_bar: np.ndarray
     sigma2: float
     sigma02: float
     s_j2: float
     beta_mle: np.ndarray
-    log_marginal: np.ndarray
-    null_prob: np.ndarray
+    posterior: PosteriorStats
     elbo_trace: list[float] = field(default_factory=list)
-    sweep_count: int = 0
     posterior_fresh: bool = False
 
 
 @dataclass
 class FitResult:
-    """Everything a finished fit exposes."""
+    """Everything a finished fit exposes; ``summaries`` is ``state.posterior``."""
 
     state: FitState
     coefficients: np.ndarray
@@ -109,9 +105,6 @@ class FitResult:
     def elbo_trace(self) -> list[float]:
         return self.state.elbo_trace
 
-    def summary(self, j: int) -> PosteriorSummary:
-        return self.summaries.summary(j)
-
 
 def dampening_weight(c: float, sigma2: float, sigma02: float) -> float:
     """Data-driven dampening weight omega = c sigma0^2 / (sigma^2 + c sigma0^2), column norm ``c``."""
@@ -119,8 +112,7 @@ def dampening_weight(c: float, sigma2: float, sigma02: float) -> float:
         raise ConfigError(f"column norm must be positive, got {c}")
     if sigma2 <= 0 or sigma02 <= 0:
         raise NonPositiveVarianceError("variances must be strictly positive")
-    m = float(c)
-    return m * sigma02 / (sigma2 + m * sigma02)
+    return c * sigma02 / (sigma2 + c * sigma02)
 
 
 def coefficient_variance(c: float, sigma2: float, sigma02: float) -> float:
@@ -142,26 +134,23 @@ def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
     sigma02 = max(sigma02, VARIANCE_FLOOR)
     return FitState(
         beta_bar=beta,
-        b_bar=np.zeros(p),
-        b_var=np.zeros(p),
         r_bar=design.ys - design.Xs @ beta,
         sigma2=sigma2,
         sigma02=sigma02,
         s_j2=coefficient_variance(n - 1, sigma2, sigma02),
         beta_mle=np.zeros(p),
-        log_marginal=np.zeros(p),
-        null_prob=np.zeros(p),
+        posterior=PosteriorStats(np.zeros(p), np.zeros(p), np.zeros(p), np.zeros(p)),
     )
 
 
-def elbo_terms(state: FitState, n: int, c: float, rss: float) -> tuple[float, float, float]:
+def elbo_terms(state: FitState, n: int, rss: float) -> tuple[float, float, float]:
     """The three ELBO terms; requires latent posteriors fresh from the prior step.
 
-    ``n`` counts observations, ``c`` is the column norm x_j^T x_j and ``rss``
-    the residual sum of squares at ``state.beta_bar``.  Term 1 is the expected
-    Gaussian log likelihood plus the entropy of the coefficient posteriors;
-    term 2 is the expected coefficient-given-latent log density; term 3 is the
-    expected prior-over-posterior log ratio of the latents, evaluated through
+    ``n`` counts observations (standardized columns have norm n-1) and ``rss``
+    is the residual sum of squares at ``state.beta_bar``.  Term 1 is the
+    expected Gaussian log likelihood plus the entropy of the coefficient
+    posteriors; term 2 is the expected coefficient-given-latent log density;
+    term 3 is the expected prior-over-posterior log ratio of the latents, via
     the exact-subposterior identity, which is why freshness matters.
     """
     if not state.posterior_fresh:
@@ -170,30 +159,32 @@ def elbo_terms(state: FitState, n: int, c: float, rss: float) -> tuple[float, fl
     sigma2, sigma02, s_j2 = state.sigma2, state.sigma02, state.s_j2
     t1 = (
         -0.5 * n * (LOG_2PI + math.log(sigma2))
-        - (rss + c * p * s_j2) / (2.0 * sigma2)
+        - (rss + (n - 1) * p * s_j2) / (2.0 * sigma2)
         + 0.5 * p * (LOG_2PI + 1.0 + math.log(s_j2))
     )
-    gap2 = float(np.sum(state.b_var + (state.beta_bar - state.b_bar) ** 2))
+    post = state.posterior
+    gap2 = float(np.sum(post.variance + (state.beta_bar - post.mean) ** 2))
     t2 = -0.5 * p * (LOG_2PI + math.log(sigma02)) - (p * s_j2 + gap2) / (2.0 * sigma02)
-    t3 = float(state.log_marginal.sum()) + 0.5 * p * (LOG_2PI + math.log(sigma02)) + gap2 / (2.0 * sigma02)
+    t3 = float(post.log_marginal.sum()) + 0.5 * p * (LOG_2PI + math.log(sigma02)) + gap2 / (2.0 * sigma02)
     return t1, t2, t3
 
 
-def compute_elbo(state: FitState, n: int, c: float, rss: float) -> float:
+def compute_elbo(state: FitState, n: int, rss: float) -> float:
     """Evidence lower bound at the fresh point of the sweep."""
-    t1, t2, t3 = elbo_terms(state, n, c, rss)
+    t1, t2, t3 = elbo_terms(state, n, rss)
     return t1 + t2 + t3
 
 
-def update_sigma2(state: FitState, n: int, c: float, rss: float) -> float:
+def update_sigma2(state: FitState, n: int, rss: float) -> float:
     """Closed-form residual-variance update (floored at 1e-12)."""
-    value = (rss + c * state.beta_bar.size * state.s_j2) / n
+    value = (rss + (n - 1) * state.beta_bar.size * state.s_j2) / n
     return max(value, VARIANCE_FLOOR)
 
 
 def update_sigma02(state: FitState) -> float:
     """Closed-form latent-gap variance update (floored at 1e-12)."""
-    value = float(np.mean(state.s_j2 + state.b_var + (state.beta_bar - state.b_bar) ** 2))
+    post = state.posterior
+    value = float(np.mean(state.s_j2 + post.variance + (state.beta_bar - post.mean) ** 2))
     return max(value, VARIANCE_FLOOR)
 
 
@@ -218,7 +209,7 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) 
     columns = Xs.ravel(order="F")
     scale = n - 1
     beta = state.beta_bar.tolist()
-    b_bar = state.b_bar.tolist()
+    b_bar = state.posterior.mean.tolist()
     mle = [0.0] * p
     r = np.array(state.r_bar, dtype=float)
     for j in range(p):
@@ -248,19 +239,14 @@ def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> Fit
     state.s_j2 = coefficient_variance(n - 1, state.sigma2, state.sigma02)
     _coordinate_pass(state, design, dampening_weight(n - 1, state.sigma2, state.sigma02))
     rss = float(state.r_bar @ state.r_bar)
-    stats = prior.update(state.beta_bar, state.sigma02)
-    state.b_bar = np.asarray(stats.mean, dtype=float)
-    state.b_var = np.asarray(stats.variance, dtype=float)
-    state.null_prob = np.asarray(stats.null_prob, dtype=float)
-    state.log_marginal = np.asarray(stats.log_marginal, dtype=float)
+    state.posterior = prior.update(state.beta_bar, state.sigma02)
     state.posterior_fresh = True
-    state.elbo_trace.append(compute_elbo(state, n, n - 1, rss))
-    state.sigma2 = update_sigma2(state, n, n - 1, rss)
+    state.elbo_trace.append(compute_elbo(state, n, rss))
+    state.sigma2 = update_sigma2(state, n, rss)
     state.sigma02 = update_sigma02(state)
     # the subposterior identity behind term 3 is tied to the sigma02 the
     # normal-means step ran with, so new variances invalidate the ELBO point
     state.posterior_fresh = False
-    state.sweep_count += 1
     return state
 
 
@@ -290,21 +276,15 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
                 converged = True
                 break
     coefficients, intercept = unstandardize(state.beta_bar, design)
-    summaries = PosteriorStats(
-        mean=state.b_bar.copy(),
-        variance=state.b_var.copy(),
-        null_prob=state.null_prob.copy(),
-        log_marginal=state.log_marginal.copy(),
-    )
     fitted = design.y_mean + design.Xs @ state.beta_bar
     null_mass = prior.prior_null_mass()
     return FitResult(
         state=state,
         coefficients=coefficients,
         intercept=intercept,
-        summaries=summaries,
+        summaries=state.posterior,
         converged=converged,
-        sweeps=state.sweep_count,
+        sweeps=len(state.elbo_trace),
         prior_kind=prior.kind,
         prior_params=prior.params_dict(),
         prior_null_mass=float(np.mean(null_mass)) if null_mass is not None else 0.0,

@@ -30,6 +30,7 @@ from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseEr
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 POSTERIOR_BLOCK = 8192  # nodes per posterior pass: its temporaries stay cached, not freshly mapped
+SCALE_GRID_SIZE, SCALE_BOUNDS = 12, (1e-3, 10.0)  # scale search: log-grid points per scale, range of both
 
 
 @dataclass(frozen=True)
@@ -331,15 +332,14 @@ def fused_log_marginal(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.
     return fused_posterior_stats(beta_bar, sigma02, neighbor_means, scales).log_marginal
 
 
-def learn_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
-                 grid_size: int = 12, bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
+def learn_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray) -> FusedScales:
     """Maximize the summed marginal log likelihood over the two Laplace scales.
 
-    A logarithmic grid search locates the basin; ``refine_scales`` polishes
-    its best point.  Deterministic by construction.
+    A logarithmic grid search over ``SCALE_BOUNDS`` locates the basin;
+    ``refine_scales`` polishes its best point.  Deterministic by construction.
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
-    values = [float(v) for v in np.geomspace(bounds[0], bounds[1], grid_size)]
+    values = [float(v) for v in np.geomspace(*SCALE_BOUNDS, SCALE_GRID_SIZE)]
     best_value, best = -np.inf, FusedScales(values[0], values[0])
     for s1 in values:
         for s2 in values:
@@ -347,23 +347,22 @@ def learn_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarra
             value = float(fused_log_marginal(beta_bar, sigma02, neighbor_means, scales).sum())
             if value > best_value:
                 best_value, best = value, scales
-    return refine_scales(beta_bar, sigma02, neighbor_means, best, bounds)
+    return refine_scales(beta_bar, sigma02, neighbor_means, best)
 
 
 def refine_scales(beta_bar: np.ndarray, sigma02: float, neighbor_means: np.ndarray,
-                  start: FusedScales, bounds: tuple[float, float] = (1e-3, 10.0)) -> FusedScales:
+                  start: FusedScales) -> FusedScales:
     """Local marginal-likelihood polish of the scales, warm-started at ``start``.
 
-    One Nelder-Mead run in log-scale coordinates; ``learn_scales`` polishes
-    its best grid point with it.  No iterative driver warm-starts it any
-    more: both the engine and the denoiser hold their scales once set.
+    One Nelder-Mead run in log-scale coordinates, clipped to
+    ``SCALE_BOUNDS``; ``learn_scales`` polishes its best grid point with it.
     Never returns a worse point than ``start``.
     """
     # imported here, the one place that needs it, to keep it out of `import nash`
     from scipy.optimize import minimize
 
     beta_bar = np.asarray(beta_bar, dtype=float)
-    lo, hi = math.log(bounds[0]), math.log(bounds[1])
+    lo, hi = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
 
     def neg_log_objective(x):
         s1, s2 = np.exp(np.clip(x, lo, hi))

@@ -8,6 +8,7 @@ equal files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ def load_model(path: str) -> ModelFile:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed model file: {exc.msg}", line=exc.lineno) from None
     try:
-        return ModelFile(
-            format_version=int(doc["format_version"]),
+        model = ModelFile(
+            format_version=doc["format_version"],
             prior_kind=doc["prior"]["kind"],
             prior_params=doc["prior"]["params"],
             coefficients=np.asarray(doc["coefficients"], dtype=float),
@@ -91,6 +92,16 @@ def load_model(path: str) -> ModelFile:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model file is missing or corrupts field: {exc}") from None
+    # reject what predict_from_model would misread (`type is int` keeps bools out)
+    if type(model.format_version) is not int or model.format_version != FORMAT_VERSION:
+        raise ParseError(f"unsupported model format_version {model.format_version!r}")
+    beta, columns = model.coefficients, model.columns
+    if beta.ndim != 1 or beta.size == 0 or not np.isfinite(beta).all() or not math.isfinite(model.intercept):
+        raise ParseError("model coefficients must be a non-empty list of finite numbers, the intercept finite")
+    if columns is not None and not (isinstance(columns, list) and all(type(c) is int and c >= 0 for c in columns)
+                                    and len(columns) == len(set(columns)) == beta.size):
+        raise ParseError("model columns must be null or one distinct non-negative integer per coefficient")
+    return model
 
 
 def predict_from_model(model: ModelFile, X_new: np.ndarray) -> np.ndarray:

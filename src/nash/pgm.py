@@ -62,13 +62,13 @@ def read_pgm(path: str) -> np.ndarray:
     return (values / maxval).reshape(height, width)
 
 
-def write_pgm(path: str, image: np.ndarray, maxval: int = 255) -> None:
-    """Write floats in [0, 1] as a binary P5 image (values clipped then quantized)."""
+def write_pgm(path: str, image: np.ndarray) -> None:
+    """Write floats in [0, 1] as an 8-bit binary P5 image (values clipped then quantized)."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ParseError("image must be a 2-d matrix")
-    quantized = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(np.uint8 if maxval < 256 else ">u2")
+    quantized = np.rint(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
     height, width = image.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())

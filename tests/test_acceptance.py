@@ -22,7 +22,7 @@ from nash.ash import (
     fit_weights_em,
     marginal_loglik_matrix,
     mixture_objective,
-    posterior_summary,
+    mixture_posterior_stats,
 )
 from nash.cli import main
 from nash.data import Dataset, SideInfo
@@ -94,14 +94,14 @@ def test_a2_posterior_oracle_equivalence():
         pi = rng.dirichlet(np.ones(m))
         beta = float(rng.normal(0, 2))
         sigma02 = float(rng.uniform(0.05, 2.0))
-        summary = posterior_summary(beta, sigma02, MixtureGrid(variances), MixtureWeights(pi))
+        stats = mixture_posterior_stats(np.array([beta]), sigma02, MixtureGrid(variances), MixtureWeights(pi))
         mean, variance, null_prob = _mixture_oracle(beta, sigma02, variances, pi)
         scale = max(abs(mean), np.sqrt(variance))
         worst_mixture = max(
             worst_mixture,
-            abs(summary.mean - mean) / scale,
-            abs(summary.variance - variance) / variance,
-            abs(summary.null_prob - null_prob) / max(null_prob, 1e-12),
+            abs(stats.mean[0] - mean) / scale,
+            abs(stats.variance[0] - variance) / variance,
+            abs(stats.null_prob[0] - null_prob) / max(null_prob, 1e-12),
         )
 
     worst_fused = 0.0

@@ -15,7 +15,6 @@ from nash.ash import (
     marginal_loglik_matrix,
     mixture_objective,
     mixture_posterior_stats,
-    posterior_summary,
 )
 from nash.errors import ConfigError
 from nash.nets import SoftmaxPriorNet
@@ -207,30 +206,30 @@ class TestPosteriorSummary:
     def test_pure_point_mass(self):
         grid = MixtureGrid(np.array([0.0, 1.0]))
         weights = MixtureWeights(np.array([1.0, 0.0]))
-        summary = posterior_summary(2.0, 1.0, grid, weights)
-        assert summary.mean == 0.0
-        assert summary.variance == 0.0
-        assert summary.null_prob == 1.0
+        stats = mixture_posterior_stats(np.array([2.0]), 1.0, grid, weights)
+        assert stats.mean[0] == 0.0
+        assert stats.variance[0] == 0.0
+        assert stats.null_prob[0] == 1.0
 
     def test_balanced_conjugate_case(self):
         sigma02 = 0.7
         grid = MixtureGrid(np.array([0.0, sigma02]))
         weights = MixtureWeights(np.array([0.0, 1.0]))
-        summary = posterior_summary(2.0, sigma02, grid, weights)
-        assert summary.mean == pytest.approx(1.0, rel=1e-12)
-        assert summary.variance == pytest.approx(sigma02 / 2.0, rel=1e-12)
+        stats = mixture_posterior_stats(np.array([2.0]), sigma02, grid, weights)
+        assert stats.mean[0] == pytest.approx(1.0, rel=1e-12)
+        assert stats.variance[0] == pytest.approx(sigma02 / 2.0, rel=1e-12)
 
     def test_half_null_half_normal(self):
         # frozen from the dense-grid oracle: prior 0.5 delta0 + 0.5 N(0,1),
         # observation 2.0 at noise variance 1
         grid = MixtureGrid(np.array([0.0, 1.0]))
         weights = MixtureWeights(np.array([0.5, 0.5]))
-        summary = posterior_summary(2.0, 1.0, grid, weights)
+        stats = mixture_posterior_stats(np.array([2.0]), 1.0, grid, weights)
         oracle = oracle_posterior(2.0, 1.0, [0.0, 1.0], [0.5, 0.5])
-        assert summary.mean == pytest.approx(0.658, abs=5e-4)
-        assert summary.null_prob == pytest.approx(0.342, abs=5e-4)
-        assert summary.mean == pytest.approx(oracle["mean"], rel=1e-6)
-        assert summary.null_prob == pytest.approx(oracle["null_prob"], rel=1e-6)
+        assert stats.mean[0] == pytest.approx(0.658, abs=5e-4)
+        assert stats.null_prob[0] == pytest.approx(0.342, abs=5e-4)
+        assert stats.mean[0] == pytest.approx(oracle["mean"], rel=1e-6)
+        assert stats.null_prob[0] == pytest.approx(oracle["null_prob"], rel=1e-6)
 
     def test_matches_oracle_on_random_cases(self, rng):
         for _ in range(100):
@@ -242,12 +241,12 @@ class TestPosteriorSummary:
             beta = float(rng.normal(0, 2))
             sigma02 = float(rng.uniform(0.05, 2.0))
             grid = MixtureGrid(variances)
-            summary = posterior_summary(beta, sigma02, grid, MixtureWeights(pi))
+            stats = mixture_posterior_stats(np.array([beta]), sigma02, grid, MixtureWeights(pi))
             oracle = oracle_posterior(beta, sigma02, variances, pi)
-            np.testing.assert_allclose(summary.mean, oracle["mean"], rtol=1e-6, atol=1e-9)
-            np.testing.assert_allclose(summary.variance, oracle["variance"], rtol=1e-6, atol=1e-9)
-            np.testing.assert_allclose(summary.null_prob, oracle["null_prob"], rtol=1e-6)
-            np.testing.assert_allclose(summary.log_marginal, oracle["log_marginal"], rtol=1e-6)
+            np.testing.assert_allclose(stats.mean[0], oracle["mean"], rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(stats.variance[0], oracle["variance"], rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(stats.null_prob[0], oracle["null_prob"], rtol=1e-6)
+            np.testing.assert_allclose(stats.log_marginal[0], oracle["log_marginal"], rtol=1e-6)
 
     def test_shrinkage_never_expands(self, rng):
         for _ in range(200):
@@ -257,9 +256,9 @@ class TestPosteriorSummary:
                 continue
             pi = rng.dirichlet(np.ones(m))
             beta = float(rng.normal(0, 4))
-            summary = posterior_summary(beta, float(rng.uniform(0.05, 3.0)),
-                                        MixtureGrid(variances), MixtureWeights(pi))
-            assert abs(summary.mean) <= abs(beta) + 1e-12
+            stats = mixture_posterior_stats(np.array([beta]), float(rng.uniform(0.05, 3.0)),
+                                            MixtureGrid(variances), MixtureWeights(pi))
+            assert abs(stats.mean[0]) <= abs(beta) + 1e-12
 
     def test_per_row_weight_matrix(self, rng):
         grid = MixtureGrid(np.array([0.0, 0.5, 2.0]))
@@ -267,9 +266,10 @@ class TestPosteriorSummary:
         weight_rows = rng.dirichlet(np.ones(3), size=4)
         stats = mixture_posterior_stats(beta, 0.3, grid, weight_rows)
         for j in range(4):
-            single = posterior_summary(float(beta[j]), 0.3, grid, MixtureWeights(weight_rows[j]))
-            assert stats.mean[j] == pytest.approx(single.mean, rel=1e-12, abs=1e-15)
-            assert stats.null_prob[j] == pytest.approx(single.null_prob, rel=1e-12)
+            single = mixture_posterior_stats(np.array([float(beta[j])]), 0.3, grid,
+                                             MixtureWeights(weight_rows[j]))
+            assert stats.mean[j] == pytest.approx(single.mean[0], rel=1e-12, abs=1e-15)
+            assert stats.null_prob[j] == pytest.approx(single.null_prob[0], rel=1e-12)
 
 
 class TestCebnmSolve:

@@ -252,6 +252,37 @@ class TestPredictCommand:
         assert main(["predict", "--model", str(model), "--x", str(tmp_path / "wide.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("columns", []),
+        ("columns", [0, 1, 2, 3, "a"]),
+        ("columns", [0, 1, 2, 3, 3.5]),
+        ("columns", [[0], [1], [2], [3], [4]]),
+        ("columns", [-1, 0, 1, 2, 3]),
+        ("columns", [True, 1, 2, 3, 4]),
+        ("columns", [0, 1, 2]),
+        ("columns", [0, 0, 1, 2, 3]),
+        ("coefficients", [[1.0, 2.0, 3.0, 4.0, 5.0]]),
+        ("coefficients", [1.0, 2.0, 3.0, 4.0, None]),
+        ("coefficients", []),
+        ("intercept", float("nan")),
+        ("format_version", 2),
+    ], ids=["columns-empty", "columns-text", "columns-fraction", "columns-nested", "columns-negative",
+            "columns-bool", "columns-short", "columns-repeated", "coefficients-2d", "coefficients-null", "coefficients-empty",
+            "intercept-nan", "format-version-2"])
+    def test_malformed_model_rejected(self, regression_files, tmp_path, capsys, field, value):
+        _, _, x_path, y_path = regression_files
+        model = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--out", str(model), "--max-sweeps", "3"]) == 0
+        doc = json.loads(model.read_text())
+        doc[field] = value
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--x", x_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_row_count_and_determinism(self, tmp_path):

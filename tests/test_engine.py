@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import nash
 from conftest import random_regression
+from nash import ash, engine
 from nash.ash import AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, mixture_posterior_stats
 from nash.data import Dataset, SideInfo, standardize
 from nash.engine import (
@@ -58,8 +60,13 @@ def make_design(seed=0, n=30, p=6):
 
 
 def split_args(state, design):
-    """Observation count, column norm and residual sum of squares of a standardized fit."""
-    return design.n, design.n - 1, float(state.r_bar @ state.r_bar)
+    """Observation count and residual sum of squares of a standardized fit."""
+    return design.n, float(state.r_bar @ state.r_bar)
+
+
+def with_posterior(state, **arrays):
+    """Replace arrays of the state's latent posterior (the record itself is frozen)."""
+    state.posterior = dataclasses.replace(state.posterior, **arrays)
 
 
 class TestScalarOps:
@@ -99,7 +106,7 @@ class TestPartialResidual:
     def _held_pass(design, beta):
         state = init_state(design, FitConfig())
         state.beta_bar = np.array(beta, dtype=float)
-        state.b_bar = state.beta_bar.copy()
+        with_posterior(state, mean=state.beta_bar.copy())
         state.r_bar = design.ys - design.Xs @ state.beta_bar
         _coordinate_pass(state, design, 0.0)
         np.testing.assert_array_equal(state.beta_bar, beta)
@@ -141,7 +148,7 @@ def textbook_coordinate_pass(state, design, omega):
         r_j = r + x_j * state.beta_bar[j]
         ols = float(x_j @ r_j) / (design.n - 1)
         state.beta_mle[j] = ols
-        state.beta_bar[j] = omega * ols + (1.0 - omega) * state.b_bar[j]
+        state.beta_bar[j] = omega * ols + (1.0 - omega) * state.posterior.mean[j]
         r = r_j - x_j * state.beta_bar[j]
     state.r_bar = r
 
@@ -150,7 +157,7 @@ class TestCoordinatePass:
     def _state(self, design, rng):
         state = init_state(design, FitConfig())
         state.beta_bar = rng.standard_normal(design.p)
-        state.b_bar = rng.standard_normal(design.p)
+        with_posterior(state, mean=rng.standard_normal(design.p))
         state.r_bar = design.ys - design.Xs @ state.beta_bar
         return state
 
@@ -238,7 +245,7 @@ class TestSweep:
         state = init_state(design, FitConfig())
         sweep(state, design, prior)
         for _ in range(3):
-            b_prev = state.b_bar.copy()
+            b_prev = state.posterior.mean.copy()
             omega_before = dampening_weight(design.n - 1, state.sigma2, state.sigma02)
             beta_inputs = None
 
@@ -285,8 +292,7 @@ class TestVarianceUpdates:
 
     def test_sigma02_direct_formula(self):
         design, state = self._fresh_state()
-        state.b_bar = state.beta_bar.copy()
-        state.b_var = np.zeros(design.p)
+        with_posterior(state, mean=state.beta_bar.copy(), variance=np.zeros(design.p))
         state.s_j2 = 0.37
         assert update_sigma02(state) == pytest.approx(0.37, rel=1e-12)
 
@@ -348,11 +354,10 @@ class TestElbo:
         )
         permuted = copy.deepcopy(state)
         permuted.beta_bar = state.beta_bar[perm]
-        permuted.b_bar = state.b_bar[perm]
-        permuted.b_var = state.b_var[perm]
         permuted.beta_mle = state.beta_mle[perm]
-        permuted.log_marginal = state.log_marginal[perm]
-        permuted.null_prob = state.null_prob[perm]
+        post = state.posterior
+        with_posterior(permuted, mean=post.mean[perm], variance=post.variance[perm],
+                       null_prob=post.null_prob[perm], log_marginal=post.log_marginal[perm])
         assert compute_elbo(permuted, *split_args(permuted, permuted_design)) == pytest.approx(baseline, abs=1e-8)
 
     def test_matches_two_dimensional_quadrature(self):
@@ -454,6 +459,60 @@ class TestFit:
         X, y, _ = random_regression(3)
         with pytest.raises(ConfigError):
             fit(Dataset(y=y, X=X), SideInfo.from_features(np.ones((8, 1))), AshPrior(4), FitConfig())
+
+
+class RecordingPrior(AshPrior):
+    """Ash prior that keeps every posterior record its ``update`` returns."""
+
+    def __init__(self, n_components):
+        super().__init__(n_components)
+        self.returned = []
+
+    def update(self, beta_bar, sigma02):
+        self.returned.append(super().update(beta_bar, sigma02))
+        return self.returned[-1]
+
+
+class TestPosteriorRecord:
+    def test_summaries_are_the_last_prior_record(self):
+        X, y, _ = random_regression(5, n=30, p=6)
+        prior = RecordingPrior(5)
+        result = fit(Dataset(y=y, X=X), SideInfo.none(), prior, FitConfig(max_sweeps=4))
+        assert result.summaries is prior.returned[-1]
+        assert result.state.posterior is prior.returned[-1]
+
+    @pytest.mark.parametrize("max_sweeps, converged", [(200, True), (3, False)])
+    def test_sweeps_count_the_elbo_trace(self, max_sweeps, converged):
+        X, y, _ = random_regression(2, n=30, p=5)
+        prior = RecordingPrior(4)
+        result = fit(Dataset(y=y, X=X), SideInfo.none(), prior, FitConfig(max_sweeps=max_sweeps))
+        assert result.converged is converged
+        assert result.sweeps == len(result.elbo_trace) == len(prior.returned)
+
+    def test_no_per_coordinate_summary_method(self):
+        X, y, _ = random_regression(2, n=30, p=5)
+        result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(4), FitConfig(max_sweeps=2))
+        assert not hasattr(result, "summary")
+
+
+class TestTracerContract:
+    """The benchmark tracer patches the regression path by name; moving a patched name must fail here."""
+
+    def test_ash_fit_is_traced(self, spans):
+        X, y, _ = random_regression(6, n=40, p=10)
+        with spans.instrument(spans.Tracer()) as tracer:
+            result = nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.none(), nash.AshPrior(n_components=5),
+                              nash.FitConfig(max_sweeps=4))
+        sweeps = tracer.counts["engine.sweeps"]
+        assert sweeps == result.sweeps == len(result.elbo_trace) > 0
+        per_fit = {"ash.em": sweeps, "ash.posterior": sweeps, "prior.update": sweeps,
+                   "engine.fit": 1, "data.standardize": 1}
+        for name, count in per_fit.items():
+            assert sum(s.name == name for s in tracer.spans) == count, name
+        # originals restored
+        for func in (nash.fit, engine.fit, engine.sweep, engine.standardize, ash.fit_weights_em,
+                     ash.mixture_posterior_stats, ash.mixture_objective):
+            assert not hasattr(func, "__wrapped__")
 
 
 class TestPredict:

@@ -654,9 +654,9 @@ class TestLearnScales:
         nbr = np.full((p, 2), np.nan)
         nbr[1:, 0] = b[:-1]
         nbr[:-1, 1] = b[1:]
-        learned = learn_scales(beta_bar, 0.09, nbr, grid_size=6)
+        learned = learn_scales(beta_bar, 0.09, nbr)
         obj = lambda s: fused_log_marginal(beta_bar, 0.09, nbr, s).sum()
-        values = np.geomspace(1e-3, 10.0, 6)
+        values = np.geomspace(*fused.SCALE_BOUNDS, fused.SCALE_GRID_SIZE)
         best_grid = max(obj(FusedScales(float(s1), float(s2))) for s1 in values for s2 in values)
         assert obj(learned) >= best_grid - 1e-9
 

@@ -558,15 +558,15 @@ class TestMdnForward:
 
 class TestMdnPosterior:
     def test_vanishing_component_variance_pins_mean(self):
-        summary = mdn_posterior_stats(np.array([0.3]), 1.0, np.array([0.0, 1.0]), np.array([2.0]),
-                                      np.array([0.0])).summary(0)
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.variance == pytest.approx(0.0, abs=1e-15)
+        stats = mdn_posterior_stats(np.array([0.3]), 1.0, np.array([0.0, 1.0]), np.array([2.0]),
+                                    np.array([0.0]))
+        assert stats.mean[0] == pytest.approx(2.0)
+        assert stats.variance[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_observation_at_component_mean_is_fixed(self):
-        summary = mdn_posterior_stats(np.array([2.0]), 0.7, np.array([0.0, 1.0]), np.array([2.0]),
-                                      np.array([0.5])).summary(0)
-        assert summary.mean == pytest.approx(2.0, rel=1e-12)
+        stats = mdn_posterior_stats(np.array([2.0]), 0.7, np.array([0.0, 1.0]), np.array([2.0]),
+                                    np.array([0.5]))
+        assert stats.mean[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_dense_grid_oracle(self):
         # two off-center components; oracle integrates the exact posterior
@@ -580,17 +580,17 @@ class TestMdnPosterior:
         total = np.trapezoid(joint, grid)
         oracle_mean = np.trapezoid(grid * joint, grid) / total
         oracle_second = np.trapezoid(grid**2 * joint, grid) / total
-        summary = mdn_posterior_stats(np.array([beta]), sigma02, weights, means, variances).summary(0)
-        assert summary.mean == pytest.approx(oracle_mean, abs=1e-6)
-        assert summary.variance == pytest.approx(oracle_second - oracle_mean**2, abs=1e-6)
-        assert summary.log_marginal == pytest.approx(np.log(total), abs=1e-6)
+        stats = mdn_posterior_stats(np.array([beta]), sigma02, weights, means, variances)
+        assert stats.mean[0] == pytest.approx(oracle_mean, abs=1e-6)
+        assert stats.variance[0] == pytest.approx(oracle_second - oracle_mean**2, abs=1e-6)
+        assert stats.log_marginal[0] == pytest.approx(np.log(total), abs=1e-6)
 
     def test_null_probability_from_point_mass(self):
-        summary = mdn_posterior_stats(np.array([0.0]), 1.0, np.array([0.5, 0.5]), np.array([3.0]),
-                                      np.array([0.25])).summary(0)
+        stats = mdn_posterior_stats(np.array([0.0]), 1.0, np.array([0.5, 0.5]), np.array([3.0]),
+                                    np.array([0.25]))
         w0 = 0.5 * normal_pdf(0.0, 0.0, 1.0)
         w1 = 0.5 * normal_pdf(0.0, 3.0, 1.25)
-        assert summary.null_prob == pytest.approx(w0 / (w0 + w1), rel=1e-10)
+        assert stats.null_prob[0] == pytest.approx(w0 / (w0 + w1), rel=1e-10)
 
 
 class TestMdnGradients:
