@@ -49,8 +49,8 @@ class MixtureWeights:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if pi.ndim != 1 or np.any(pi < 0):
-            raise ValueError("weights must be a non-negative vector")
+        if pi.ndim != 1 or not np.isfinite(pi).all() or np.any(pi < 0):
+            raise ValueError("weights must be a finite non-negative vector")
         if abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {pi.sum()}, not 1")
         object.__setattr__(self, "pi", pi)
@@ -88,13 +88,20 @@ def default_grid(beta_bar: np.ndarray, sigma02: float, n_components: int = 20) -
     return MixtureGrid(np.concatenate(([0.0], ladder)))
 
 
-def marginal_loglik_matrix(beta_bar: np.ndarray, sigma02: float, grid: MixtureGrid) -> np.ndarray:
-    """log N(beta_j; 0, sigma02 + sigma_m^2) for every coordinate and component."""
+def marginal_loglik_matrix(beta_bar: np.ndarray, sigma02: float, variances: np.ndarray | float,
+                           means: np.ndarray | None = None) -> np.ndarray:
+    """log N(beta_j; m_jk, sigma02 + v_jk) for every coordinate j and component k.
+
+    ``variances`` (and ``means``) are one row shared by every coordinate or one
+    row per coordinate; ``means`` None is zero-mean components.  Every mixture
+    prior's likelihood matrix is built here, once per update.
+    """
     if sigma02 <= 0:
         raise ValueError("sigma02 must be positive")
     beta_bar = np.asarray(beta_bar, dtype=float)
-    total_var = sigma02 + grid.variances[None, :]
-    return -0.5 * (LOG_2PI + np.log(total_var) + beta_bar[:, None] ** 2 / total_var)
+    total_var = sigma02 + np.asarray(variances, dtype=float)
+    d = beta_bar[:, None] if means is None else beta_bar[:, None] - means
+    return -0.5 * (LOG_2PI + np.log(total_var) + d**2 / total_var)
 
 
 def _log_weights(pi: np.ndarray) -> np.ndarray:
@@ -176,13 +183,27 @@ def _responsibilities(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(s[:, 0]) + rowmax[:, 0], e
 
 
-def _mixture_stats(a: np.ndarray, comp_mean: np.ndarray, comp_var: np.ndarray) -> PosteriorStats:
-    """Posterior summaries of a mixture whose column 0 is the point mass at zero.
+def mixture_posterior_stats(beta_bar: np.ndarray, sigma02: float, log_lik: np.ndarray, weights: np.ndarray,
+                            variances: np.ndarray, means: np.ndarray | None = None) -> PosteriorStats:
+    """Posterior summaries of every coordinate under a mixture whose column 0 is the point mass.
 
-    ``a`` holds log-likelihood plus log-weights per coordinate and component;
-    ``comp_mean`` and ``comp_var`` are the per-component posterior moments.
+    The one posterior of all three mixture priors.  ``log_lik`` is
+    ``marginal_loglik_matrix(beta_bar, sigma02, variances, means)``, which the
+    caller has already built for EM or training; ``weights`` is one simplex or
+    a p x M matrix of them.  Component k's conjugate posterior has variance
+    v sigma02 / (v + sigma02) and mean beta_bar v / (v + sigma02), or
+    (beta_bar v + m sigma02) / (v + sigma02) with means (it rounds differently).
     """
-    log_marginal, gamma = _responsibilities(a)
+    beta_bar = np.asarray(beta_bar, dtype=float)
+    log_marginal, gamma = _responsibilities(log_lik + _log_weights(np.asarray(weights, dtype=float)))
+    variances = np.asarray(variances, dtype=float)
+    if means is None:
+        shrink = variances / (variances + sigma02)
+        comp_mean, comp_var = beta_bar[:, None] * shrink, sigma02 * shrink
+    else:
+        total_var = sigma02 + variances
+        comp_mean = (beta_bar[:, None] * variances + means * sigma02) / total_var
+        comp_var = variances * sigma02 / total_var
     mean = (gamma * comp_mean).sum(axis=1)
     second = (gamma * (comp_var + comp_mean**2)).sum(axis=1)
     return PosteriorStats(
@@ -191,25 +212,6 @@ def _mixture_stats(a: np.ndarray, comp_mean: np.ndarray, comp_var: np.ndarray) -
         null_prob=gamma[:, 0],
         log_marginal=log_marginal,
     )
-
-
-def mixture_posterior_stats(
-    beta_bar: np.ndarray,
-    sigma02: float,
-    grid: MixtureGrid,
-    weights: MixtureWeights | np.ndarray,
-) -> PosteriorStats:
-    """Posterior summaries for every coordinate under mixture weights.
-
-    ``weights`` may be a single simplex (shared prior) or a p x M matrix of
-    per-coordinate simplexes (covariate-moderated priors).
-    """
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    pi = weights.pi if isinstance(weights, MixtureWeights) else np.asarray(weights, dtype=float)
-    a = marginal_loglik_matrix(beta_bar, sigma02, grid) + _log_weights(pi)
-    # conjugate posterior of each zero-mean component
-    shrink = grid.variances[None, :] / (grid.variances[None, :] + sigma02)
-    return _mixture_stats(a, beta_bar[:, None] * shrink, sigma02 * shrink)
 
 
 class AshPrior:
@@ -233,18 +235,20 @@ class AshPrior:
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
         if self.grid is None:
             self.grid = default_grid(beta_bar, sigma02, self.n_components)
-        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid)
+        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid.variances)
         init = self.weights if self.weights is not None else MixtureWeights.uniform(self.grid.n_components)
         self.weights = fit_weights_em(log_lik, init)
-        return mixture_posterior_stats(beta_bar, sigma02, self.grid, self.weights)
+        return mixture_posterior_stats(beta_bar, sigma02, log_lik, self.weights.pi, self.grid.variances)
+
+    @property
+    def updated(self) -> bool:
+        return self.weights is not None
 
     def prior_null_mass(self) -> np.ndarray | None:
-        if self.weights is None:
-            return None
-        return np.array([self.weights.pi[0]])
+        return np.array([self.weights.pi[0]]) if self.updated else None
 
     def params_dict(self) -> dict:
-        if self.grid is None or self.weights is None:
+        if not self.updated:
             return {}
         return {
             "variances": self.grid.variances.tolist(),

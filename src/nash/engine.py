@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .ash import PosteriorStats
+from .ash import LOG_2PI, PosteriorStats
 from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
 from .errors import (
     ConfigError,
@@ -26,12 +26,11 @@ from .errors import (
     StaleStateError,
 )
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR = 1e-12
 
 
 class PriorModel(Protocol):
-    """Prior families the engine can delegate the normal-means step to."""
+    """Prior families the engine can delegate the normal-means step to (``fit`` rejects an ``updated`` one)."""
 
     kind: str
     side_kind: str
@@ -256,7 +255,8 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
     Runs sweeps until the relative ELBO change drops below ``config.elbo_tol``
     or ``config.max_sweeps`` is reached; failure to converge is reported via
     the flag on the result, not an exception.  Identical inputs (and, for
-    network priors, identical training seeds) give bit-identical results.
+    network priors, identical training seeds) give bit-identical results.  A
+    prior object serves one fit: one whose ``updated`` reads True is rejected.
     """
     if config is None:
         config = FitConfig()
@@ -264,6 +264,8 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
         raise ConfigError(
             f"{prior.kind!r} prior requires side information of kind {prior.side_kind!r}, got {side_info.kind!r}"
         )
+    if getattr(prior, "updated", False):
+        raise ConfigError(f"this {prior.kind!r} prior has already been fitted; give each fit a new prior object")
     design = standardize(dataset)
     side_info.check_p(design.p)
     state = init_state(design, config)

@@ -408,8 +408,8 @@ def _neighbor_matrix(graph: Graph, b_bar: np.ndarray) -> np.ndarray:
 class FusedPrior:
     """Graph-fused prior for the regression engine.
 
-    Neighbor anchors are read from the previous sweep's latent means
-    (Jacobi style), so all per-node posteriors within a sweep are
+    Neighbor anchors are read from the previous sweep's latent means, zero
+    before the first (Jacobi style), so all per-node posteriors within a sweep are
     independent and the sweep is order-free.  The two global scales are
     learned on the first update and then held; scales set before the first
     update are held from the start, as the denoiser does.  Re-learning
@@ -423,15 +423,19 @@ class FusedPrior:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.scales: FusedScales | None = None
-        self.b_prev = np.zeros(graph.p)
+        self.b_prev: np.ndarray | None = None
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
-        nbr = _neighbor_matrix(self.graph, self.b_prev)
+        nbr = _neighbor_matrix(self.graph, self.b_prev if self.updated else np.zeros(self.graph.p))
         if self.scales is None:
             self.scales = learn_scales(beta_bar, sigma02, nbr)
         stats = fused_posterior_stats(beta_bar, sigma02, nbr, self.scales)
         self.b_prev = stats.mean
         return stats
+
+    @property
+    def updated(self) -> bool:
+        return self.b_prev is not None
 
     def prior_null_mass(self) -> np.ndarray | None:
         return None

@@ -8,6 +8,7 @@ the noisy coefficient estimates with hand-written reverse-mode gradients
 and Adam; no external ML runtime is involved, the networks are tiny.  The
 objectives run the networks on the distinct feature rows (``_Rows``), the
 softmax one in likelihood space, and Adam steps one flat parameter vector.
+Both priors' posteriors come from ``ash.mixture_posterior_stats``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .ash import (
     LOG_2PI,
     MixtureGrid,
     PosteriorStats,
-    _log_weights,
-    _mixture_stats,
     _responsibilities,
     default_grid,
     marginal_loglik_matrix,
@@ -260,7 +259,7 @@ class MdnPriorNet(_DenseNet):
 
     def _rows(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> _Rows:
         beta_bar = np.asarray(beta_bar, dtype=float)
-        null_logdens = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
+        null_logdens = marginal_loglik_matrix(beta_bar, sigma02, 0.0)[:, 0]
         return self._group(D, [beta_bar, null_logdens], (sigma02,))
 
     def objective(self, D, beta_bar=None, sigma02=None) -> float:
@@ -379,22 +378,12 @@ def mdn_posterior_stats(beta_bar: np.ndarray, sigma02: float, weights: np.ndarra
     """Posterior summaries when each coordinate has its own mixture components.
 
     ``weights`` is p x (K+1) including the null mass in column 0; ``means``
-    and ``variances`` are p x K for the Gaussian components.
+    and ``variances`` are p x K for the Gaussian components, to which the point
+    mass is prepended as variance 0 and mean 0 for ``mixture_posterior_stats``.
     """
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    variances = np.atleast_2d(np.asarray(variances, dtype=float))
-    # log densities: N(beta_j; 0, sigma02) for the point mass, N(beta_j; mean_jk, v_jk)
-    v = sigma02 + variances
-    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
-    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
-    # conjugate posterior of each Gaussian component; the point mass stays at zero
-    zero = np.zeros_like(beta_bar)
-    post_mean_k = (beta_bar[:, None] * variances + means * sigma02) / v
-    post_var_k = variances * sigma02 / v
-    return _mixture_stats(_log_weights(weights) + np.column_stack([c0, ck]),
-                          np.column_stack([zero, post_mean_k]), np.column_stack([zero, post_var_k]))
+    means, variances = (np.hstack([np.zeros((len(a), 1)), a]) for a in map(np.atleast_2d, (means, variances)))
+    log_lik = marginal_loglik_matrix(beta_bar, sigma02, variances, means)
+    return mixture_posterior_stats(beta_bar, sigma02, log_lik, weights, variances, means)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +419,14 @@ class _NetPrior:
         self._last_weights: np.ndarray | None = None
 
     def _steps(self) -> int:
-        config = self.train_config
-        return config.steps if self._last_weights is None else config.later_steps
+        return self.train_config.later_steps if self.updated else self.train_config.steps
+
+    @property
+    def updated(self) -> bool:
+        return self._last_weights is not None
 
     def prior_null_mass(self) -> np.ndarray | None:
-        return None if self._last_weights is None else self._last_weights[:, 0]
+        return self._last_weights[:, 0] if self.updated else None
 
     def params_dict(self) -> dict:
         architecture = {
@@ -467,10 +459,10 @@ class SoftmaxPrior(_NetPrior):
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
         if self.grid is None:
             self.grid = default_grid(beta_bar, sigma02, self.n_components)
-        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid)
+        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid.variances)
         train_softmax(self.net, self.D, log_lik, self.train_config, steps=self._steps())
         self._last_weights = self.net.forward(self.D)
-        return mixture_posterior_stats(beta_bar, sigma02, self.grid, self._last_weights)
+        return mixture_posterior_stats(beta_bar, sigma02, log_lik, self._last_weights, self.grid.variances)
 
     def params_dict(self) -> dict:
         doc = super().params_dict()

@@ -94,7 +94,10 @@ def test_a2_posterior_oracle_equivalence():
         pi = rng.dirichlet(np.ones(m))
         beta = float(rng.normal(0, 2))
         sigma02 = float(rng.uniform(0.05, 2.0))
-        stats = mixture_posterior_stats(np.array([beta]), sigma02, MixtureGrid(variances), MixtureWeights(pi))
+        grid = MixtureGrid(variances)
+        stats = mixture_posterior_stats(np.array([beta]), sigma02,
+                                        marginal_loglik_matrix(np.array([beta]), sigma02, grid.variances),
+                                        MixtureWeights(pi).pi, grid.variances)
         mean, variance, null_prob = _mixture_oracle(beta, sigma02, variances, pi)
         scale = max(abs(mean), np.sqrt(variance))
         worst_mixture = max(

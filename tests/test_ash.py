@@ -6,10 +6,13 @@ from scipy.special import logsumexp
 
 from conftest import simplex_grid_best
 from nash.ash import (
+    LOG_2PI,
     AshPrior,
+    _log_weights,
     _responsibilities,
     MixtureGrid,
     MixtureWeights,
+    PosteriorStats,
     default_grid,
     fit_weights_em,
     marginal_loglik_matrix,
@@ -17,7 +20,7 @@ from nash.ash import (
     mixture_posterior_stats,
 )
 from nash.errors import ConfigError
-from nash.nets import SoftmaxPriorNet
+from nash.nets import MdnPrior, SoftmaxPrior, SoftmaxPriorNet, TrainConfig, mdn_posterior_stats, train_softmax
 
 
 def normal_pdf(x, mean, var):
@@ -77,12 +80,12 @@ class TestDefaultGrid:
 class TestMarginalLoglik:
     def test_standard_normal_at_zero(self):
         grid = MixtureGrid(np.array([0.0, 1.0]))
-        log_lik = marginal_loglik_matrix(np.array([0.0]), 1.0, grid)
+        log_lik = marginal_loglik_matrix(np.array([0.0]), 1.0, grid.variances)
         assert np.exp(log_lik[0, 0]) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-12)
 
     def test_unit_total_variance_at_one(self):
         grid = MixtureGrid(np.array([0.0, 0.5]))
-        log_lik = marginal_loglik_matrix(np.array([1.0]), 0.5, grid)
+        log_lik = marginal_loglik_matrix(np.array([1.0]), 0.5, grid.variances)
         expected = np.exp(-0.5) / np.sqrt(2.0 * np.pi)
         assert np.exp(log_lik[0, 1]) == pytest.approx(expected, rel=1e-12)
 
@@ -96,7 +99,7 @@ class TestMarginalLoglik:
             b = np.linspace(-width, width, 200_001)
             integral = np.trapezoid(normal_pdf(beta, b, sigma02) * normal_pdf(b, 0.0, sm2), b)
             grid = MixtureGrid(np.array([0.0, sm2]))
-            log_lik = marginal_loglik_matrix(np.array([beta]), sigma02, grid)
+            log_lik = marginal_loglik_matrix(np.array([beta]), sigma02, grid.variances)
             np.testing.assert_allclose(np.exp(log_lik[0, 1]), integral, atol=1e-8)
 
 
@@ -148,7 +151,7 @@ class TestEmWeights:
         p, m = int(rng.integers(20, 400)), int(rng.integers(2, 21))
         beta = rng.standard_normal(p) * np.where(rng.uniform(size=p) < 0.1, 3.0, 0.2)
         sigma02 = float(rng.uniform(0.01, 0.5))
-        log_lik = marginal_loglik_matrix(beta, sigma02, default_grid(beta, sigma02, m))
+        log_lik = marginal_loglik_matrix(beta, sigma02, default_grid(beta, sigma02, m).variances)
         init = rng.dirichlet(np.ones(m))
         assert_matches_oracle(log_lik, init)
         pi = MixtureWeights(init)
@@ -206,7 +209,8 @@ class TestPosteriorSummary:
     def test_pure_point_mass(self):
         grid = MixtureGrid(np.array([0.0, 1.0]))
         weights = MixtureWeights(np.array([1.0, 0.0]))
-        stats = mixture_posterior_stats(np.array([2.0]), 1.0, grid, weights)
+        stats = mixture_posterior_stats(np.array([2.0]), 1.0, marginal_loglik_matrix(np.array([2.0]), 1.0, grid.variances),
+                                        weights.pi, grid.variances)
         assert stats.mean[0] == 0.0
         assert stats.variance[0] == 0.0
         assert stats.null_prob[0] == 1.0
@@ -215,7 +219,9 @@ class TestPosteriorSummary:
         sigma02 = 0.7
         grid = MixtureGrid(np.array([0.0, sigma02]))
         weights = MixtureWeights(np.array([0.0, 1.0]))
-        stats = mixture_posterior_stats(np.array([2.0]), sigma02, grid, weights)
+        stats = mixture_posterior_stats(np.array([2.0]), sigma02,
+                                        marginal_loglik_matrix(np.array([2.0]), sigma02, grid.variances),
+                                        weights.pi, grid.variances)
         assert stats.mean[0] == pytest.approx(1.0, rel=1e-12)
         assert stats.variance[0] == pytest.approx(sigma02 / 2.0, rel=1e-12)
 
@@ -224,7 +230,8 @@ class TestPosteriorSummary:
         # observation 2.0 at noise variance 1
         grid = MixtureGrid(np.array([0.0, 1.0]))
         weights = MixtureWeights(np.array([0.5, 0.5]))
-        stats = mixture_posterior_stats(np.array([2.0]), 1.0, grid, weights)
+        stats = mixture_posterior_stats(np.array([2.0]), 1.0, marginal_loglik_matrix(np.array([2.0]), 1.0, grid.variances),
+                                        weights.pi, grid.variances)
         oracle = oracle_posterior(2.0, 1.0, [0.0, 1.0], [0.5, 0.5])
         assert stats.mean[0] == pytest.approx(0.658, abs=5e-4)
         assert stats.null_prob[0] == pytest.approx(0.342, abs=5e-4)
@@ -241,7 +248,9 @@ class TestPosteriorSummary:
             beta = float(rng.normal(0, 2))
             sigma02 = float(rng.uniform(0.05, 2.0))
             grid = MixtureGrid(variances)
-            stats = mixture_posterior_stats(np.array([beta]), sigma02, grid, MixtureWeights(pi))
+            stats = mixture_posterior_stats(np.array([beta]), sigma02,
+                                            marginal_loglik_matrix(np.array([beta]), sigma02, grid.variances),
+                                            MixtureWeights(pi).pi, grid.variances)
             oracle = oracle_posterior(beta, sigma02, variances, pi)
             np.testing.assert_allclose(stats.mean[0], oracle["mean"], rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(stats.variance[0], oracle["variance"], rtol=1e-6, atol=1e-9)
@@ -256,18 +265,22 @@ class TestPosteriorSummary:
                 continue
             pi = rng.dirichlet(np.ones(m))
             beta = float(rng.normal(0, 4))
-            stats = mixture_posterior_stats(np.array([beta]), float(rng.uniform(0.05, 3.0)),
-                                            MixtureGrid(variances), MixtureWeights(pi))
+            sigma02, grid = float(rng.uniform(0.05, 3.0)), MixtureGrid(variances)
+            stats = mixture_posterior_stats(np.array([beta]), sigma02,
+                                            marginal_loglik_matrix(np.array([beta]), sigma02, grid.variances),
+                                            MixtureWeights(pi).pi, grid.variances)
             assert abs(stats.mean[0]) <= abs(beta) + 1e-12
 
     def test_per_row_weight_matrix(self, rng):
         grid = MixtureGrid(np.array([0.0, 0.5, 2.0]))
         beta = rng.normal(0, 1, size=4)
         weight_rows = rng.dirichlet(np.ones(3), size=4)
-        stats = mixture_posterior_stats(beta, 0.3, grid, weight_rows)
+        stats = mixture_posterior_stats(beta, 0.3, marginal_loglik_matrix(beta, 0.3, grid.variances),
+                                        weight_rows, grid.variances)
         for j in range(4):
-            single = mixture_posterior_stats(np.array([float(beta[j])]), 0.3, grid,
-                                             MixtureWeights(weight_rows[j]))
+            single = mixture_posterior_stats(np.array([float(beta[j])]), 0.3,
+                                             marginal_loglik_matrix(np.array([float(beta[j])]), 0.3, grid.variances),
+                                             MixtureWeights(weight_rows[j]).pi, grid.variances)
             assert stats.mean[j] == pytest.approx(single.mean[0], rel=1e-12, abs=1e-15)
             assert stats.null_prob[j] == pytest.approx(single.null_prob[0], rel=1e-12)
 
@@ -301,7 +314,7 @@ class TestCebnmSolve:
         beta = rng.normal(0, 1, size=25)
         prior = AshPrior(n_components=5)
         stats = prior.update(beta, 0.4)
-        log_lik = marginal_loglik_matrix(beta, 0.4, prior.grid)
+        log_lik = marginal_loglik_matrix(beta, 0.4, prior.grid.variances)
         objective = mixture_objective(log_lik, prior.weights.pi)
         assert float(stats.log_marginal.sum()) == pytest.approx(objective, rel=1e-12)
 
@@ -318,7 +331,7 @@ class TestAshPrior:
         prior = AshPrior(n_components=5)
         beta = rng.normal(0, 1, 40)
         prior.update(beta, 0.5)
-        log_lik = marginal_loglik_matrix(beta, 0.5, prior.grid)
+        log_lik = marginal_loglik_matrix(beta, 0.5, prior.grid.variances)
         before = mixture_objective(log_lik, prior.weights.pi)
         prior.update(beta, 0.5)
         after = mixture_objective(log_lik, prior.weights.pi)
@@ -381,3 +394,177 @@ class TestResponsibilitiesKernel:
         before = a.copy()
         _responsibilities(a)
         np.testing.assert_array_equal(a, before)
+
+
+class TestMixtureWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be a finite non-negative vector"):
+            MixtureWeights(np.array([bad, 0.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the mixture posteriors as they were built before the ash, softmax
+# and MDN priors shared one (bodies verbatim), for bit-for-bit comparison
+# ---------------------------------------------------------------------------
+
+
+def reference_marginal_loglik_matrix(beta_bar, sigma02, grid):
+    """log N(beta_j; 0, sigma02 + sigma_m^2) for every coordinate and component."""
+    if sigma02 <= 0:
+        raise ValueError("sigma02 must be positive")
+    beta_bar = np.asarray(beta_bar, dtype=float)
+    total_var = sigma02 + grid.variances[None, :]
+    return -0.5 * (LOG_2PI + np.log(total_var) + beta_bar[:, None] ** 2 / total_var)
+
+
+def reference_mixture_stats(a, comp_mean, comp_var):
+    """Posterior summaries of a mixture whose column 0 is the point mass at zero."""
+    log_marginal, gamma = _responsibilities(a)
+    mean = (gamma * comp_mean).sum(axis=1)
+    second = (gamma * (comp_var + comp_mean**2)).sum(axis=1)
+    return PosteriorStats(
+        mean=mean,
+        variance=np.maximum(second - mean**2, 0.0),
+        null_prob=gamma[:, 0],
+        log_marginal=log_marginal,
+    )
+
+
+def reference_mixture_posterior_stats(beta_bar, sigma02, grid, weights):
+    """The grid posterior, which built its own log-likelihood matrix."""
+    beta_bar = np.asarray(beta_bar, dtype=float)
+    pi = weights.pi if isinstance(weights, MixtureWeights) else np.asarray(weights, dtype=float)
+    a = reference_marginal_loglik_matrix(beta_bar, sigma02, grid) + _log_weights(pi)
+    # conjugate posterior of each zero-mean component
+    shrink = grid.variances[None, :] / (grid.variances[None, :] + sigma02)
+    return reference_mixture_stats(a, beta_bar[:, None] * shrink, sigma02 * shrink)
+
+
+def reference_mdn_posterior_stats(beta_bar, sigma02, weights, means, variances):
+    """The MDN posterior, with its own point-mass and component densities."""
+    beta_bar = np.asarray(beta_bar, dtype=float)
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    variances = np.atleast_2d(np.asarray(variances, dtype=float))
+    # log densities: N(beta_j; 0, sigma02) for the point mass, N(beta_j; mean_jk, v_jk)
+    v = sigma02 + variances
+    c0 = -0.5 * (LOG_2PI + np.log(sigma02) + beta_bar**2 / sigma02)
+    ck = -0.5 * (LOG_2PI + np.log(v) + (beta_bar[:, None] - means) ** 2 / v)
+    # conjugate posterior of each Gaussian component; the point mass stays at zero
+    zero = np.zeros_like(beta_bar)
+    post_mean_k = (beta_bar[:, None] * variances + means * sigma02) / v
+    post_var_k = variances * sigma02 / v
+    return reference_mixture_stats(_log_weights(weights) + np.column_stack([c0, ck]),
+                                   np.column_stack([zero, post_mean_k]), np.column_stack([zero, post_var_k]))
+
+
+def assert_stats_equal(got, expected):
+    for name in ("mean", "variance", "null_prob", "log_marginal"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+def grid_cases():
+    """(beta_bar, sigma02, grid, weights) for the grid posterior: shared and per-row weights."""
+    rng = np.random.default_rng(11)
+    p, m = 60, 8
+    beta = rng.normal(0, 2, p)
+    large = np.where(rng.uniform(size=p) < 0.3, rng.choice([-1e3, 1e3], size=p), beta)
+    grid = default_grid(beta, 0.4, m)
+    shared, rows = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m), size=p)
+    zero_shared, zero_rows = shared.copy(), rows.copy()
+    zero_shared[[0, 3, 5]] = 0.0  # -inf log weights
+    zero_rows[:, [2, 7]] = 0.0
+    zero_rows[5, 1:] = 0.0  # a row that is all point mass
+    zero_shared /= zero_shared.sum()
+    zero_rows /= zero_rows.sum(axis=1, keepdims=True)
+    return {
+        "shared": (beta, 0.4, grid, shared),
+        "rows": (beta, 0.4, grid, rows),
+        "zero_shared": (beta, 0.4, grid, zero_shared),
+        "zero_rows": (beta, 0.4, grid, zero_rows),
+        "point_mass": (beta, 0.4, grid, np.eye(m)[0]),
+        "single": (beta[:1], 0.4, grid, shared),
+        "single_row": (beta[:1], 0.4, grid, rows[:1]),
+        "large": (large, 0.4, default_grid(large, 0.4, m), shared),
+        "tiny_sigma02_large": (large, 1e-12, default_grid(large, 1e-12, m), zero_rows),
+    }
+
+
+def mdn_cases():
+    """(beta_bar, sigma02, weights, means, variances) for the MDN posterior."""
+    rng = np.random.default_rng(12)
+    p = 40
+    beta = rng.normal(0, 2, p)
+    large = np.where(rng.uniform(size=p) < 0.3, rng.choice([-1e3, 1e3], size=p), beta)
+    cases = {}
+    for k in (1, 3):
+        weights = rng.dirichlet(np.ones(k + 1), size=p)
+        means, variances = rng.normal(0, 2, (p, k)), np.exp(rng.normal(-1, 1.5, (p, k)))
+        zero = weights.copy()
+        zero[:, -1] = 0.0
+        zero[7] = np.eye(k + 1)[0]
+        zero /= zero.sum(axis=1, keepdims=True)
+        cases[f"K{k}"] = (beta, 0.4, weights, means, variances)
+        cases[f"K{k}_zero_weights"] = (beta, 0.4, zero, means, variances)
+        cases[f"K{k}_single"] = (beta[:1], 0.4, weights[0], means[0], variances[0])
+        cases[f"K{k}_tiny_sigma02_large"] = (large, 1e-12, zero, 1e3 * means, variances)
+    return cases
+
+
+class TestPosteriorParity:
+    """The one mixture posterior against the per-prior posteriors it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(grid_cases()))
+    def test_grid_posterior_matches_reference(self, case):
+        beta, sigma02, grid, weights = grid_cases()[case]
+        log_lik = marginal_loglik_matrix(beta, sigma02, grid.variances)
+        assert np.array_equal(log_lik, reference_marginal_loglik_matrix(beta, sigma02, grid))
+        assert_stats_equal(mixture_posterior_stats(beta, sigma02, log_lik, weights, grid.variances),
+                           reference_mixture_posterior_stats(beta, sigma02, grid, weights))
+
+    @pytest.mark.parametrize("case", sorted(mdn_cases()))
+    def test_mdn_posterior_matches_reference(self, case):
+        args = mdn_cases()[case]
+        assert_stats_equal(mdn_posterior_stats(*args), reference_mdn_posterior_stats(*args))
+
+    @pytest.mark.parametrize("sigma02", [1e-12, 0.4, 7.0])
+    def test_null_column_matches_reference(self, sigma02):
+        # the MDN's training objective takes its point-mass density from this column
+        beta = np.concatenate([np.random.default_rng(13).normal(0, 2, 30), [0.0, -1e3, 1e3]])
+        expected = -0.5 * (LOG_2PI + np.log(sigma02) + beta**2 / sigma02)
+        assert np.array_equal(marginal_loglik_matrix(beta, sigma02, 0.0)[:, 0], expected)
+
+    def test_ash_update_matches_two_build_path(self):
+        rng = np.random.default_rng(14)
+        prior, weights = AshPrior(n_components=10), MixtureWeights.uniform(10)
+        for sigma02 in (0.5, 0.3, 0.3):  # later updates warm-start EM
+            beta = rng.normal(0, 1, 80) * np.where(rng.uniform(size=80) < 0.2, 4.0, 0.3)
+            stats = prior.update(beta, sigma02)
+            weights = fit_weights_em(reference_marginal_loglik_matrix(beta, sigma02, prior.grid), weights)
+            assert np.array_equal(prior.weights.pi, weights.pi)
+            assert_stats_equal(stats, reference_mixture_posterior_stats(beta, sigma02, prior.grid, weights))
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_softmax_update_matches_two_build_path(self, hidden):
+        rng = np.random.default_rng(15)
+        D = np.column_stack([np.arange(60) % 3, rng.normal(size=60)])
+        config = TrainConfig(steps=20, later_steps=4)
+        prior = SoftmaxPrior(D, n_components=6, hidden=hidden, train_config=config)
+        net = SoftmaxPriorNet(2, 6, hidden, seed=config.seed)
+        for steps in (config.steps, config.later_steps):
+            beta = rng.normal(0, 1, 60)
+            stats = prior.update(beta, 0.4)
+            train_softmax(net, D, reference_marginal_loglik_matrix(beta, 0.4, prior.grid), config, steps=steps)
+            weights = net.forward(D)
+            assert np.array_equal(prior._last_weights, weights)
+            assert_stats_equal(stats, reference_mixture_posterior_stats(beta, 0.4, prior.grid, weights))
+
+    def test_mdn_update_matches_reference(self):
+        rng = np.random.default_rng(16)
+        D = np.column_stack([np.arange(50) % 2, rng.normal(size=50)])
+        prior = MdnPrior(D, n_components=3, hidden=4, train_config=TrainConfig(steps=20, later_steps=4))
+        for _ in range(2):
+            beta = rng.normal(0, 1, 50)
+            stats = prior.update(beta, 0.4)
+            assert_stats_equal(stats, reference_mdn_posterior_stats(beta, 0.4, *prior.net.forward(D)))

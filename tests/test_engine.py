@@ -10,7 +10,8 @@ import pytest
 import nash
 from conftest import random_regression
 from nash import ash, engine
-from nash.ash import AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, mixture_posterior_stats
+from nash.ash import (AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, marginal_loglik_matrix,
+                      mixture_posterior_stats)
 from nash.data import Dataset, SideInfo, standardize
 from nash.engine import (
     FitConfig,
@@ -45,7 +46,8 @@ class FixedMixturePrior:
         self.weights = weights
 
     def update(self, beta_bar, sigma02) -> PosteriorStats:
-        return mixture_posterior_stats(beta_bar, sigma02, self.grid, self.weights)
+        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid.variances)
+        return mixture_posterior_stats(beta_bar, sigma02, log_lik, self.weights.pi, self.grid.variances)
 
     def prior_null_mass(self):
         return np.array([self.weights.pi[0]])
@@ -493,6 +495,51 @@ class TestPosteriorRecord:
         X, y, _ = random_regression(2, n=30, p=5)
         result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(4), FitConfig(max_sweeps=2))
         assert not hasattr(result, "summary")
+
+
+def fresh_priors(p):
+    """One maker per prior family, with the side information it needs."""
+    D, graph = np.eye(2)[np.arange(p) % 2], nash.Graph.chain(p)
+    quick = nash.TrainConfig(steps=5, later_steps=2)
+    return {
+        "ash": (lambda: AshPrior(5), SideInfo.none()),
+        "softmax": (lambda: nash.SoftmaxPrior(D, n_components=4, train_config=quick), SideInfo.from_features(D)),
+        "mdn": (lambda: nash.MdnPrior(D, n_components=2, hidden=2, train_config=quick),
+                SideInfo.from_features(D)),
+        "fused": (lambda: nash.FusedPrior(graph), SideInfo.from_graph(graph)),
+    }
+
+
+class TestPriorReuse:
+    """A prior object serves one fit: a second fit would warm-start from the first."""
+
+    @pytest.mark.parametrize("family", ["ash", "softmax", "mdn", "fused"])
+    def test_fitted_prior_rejected(self, family):
+        X, y, _ = random_regression(0, n=40, p=8)
+        make, side = fresh_priors(8)[family]
+        data, config = Dataset(y=y, X=X), FitConfig(max_sweeps=3)
+        prior = make()
+        first = fit(data, side, prior, config)
+        with pytest.raises(ConfigError, match="already been fitted"):
+            fit(data, side, prior, config)
+        np.testing.assert_array_equal(fit(data, side, make(), config).coefficients, first.coefficients)
+
+    def test_fused_prior_rejected_after_all_zero_means(self):
+        # a constant response leaves every latent mean at exactly 0
+        X, _, _ = random_regression(2, n=30, p=5)
+        data, graph = Dataset(y=np.ones(30), X=X), nash.Graph.chain(5)
+        prior = nash.FusedPrior(graph)
+        first = fit(data, SideInfo.from_graph(graph), prior, FitConfig(max_sweeps=2))
+        np.testing.assert_array_equal(first.summaries.mean, 0.0)
+        with pytest.raises(ConfigError, match="already been fitted"):
+            fit(data, SideInfo.from_graph(graph), prior, FitConfig(max_sweeps=2))
+
+    def test_fused_prior_with_hand_set_scales_accepted(self):
+        X, y, _ = random_regression(1, n=40, p=8)
+        prior = nash.FusedPrior(nash.Graph.chain(8))
+        prior.scales = nash.FusedScales(0.45, 0.15)
+        result = fit(Dataset(y=y, X=X), SideInfo.from_graph(prior.graph), prior, FitConfig(max_sweeps=3))
+        assert (result.prior_params["s1"], result.prior_params["s2"]) == (0.45, 0.15)
 
 
 class TestTracerContract:

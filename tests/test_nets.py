@@ -367,7 +367,7 @@ class TestGroupedRows:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_softmax_matches_row_wise_reference(self, case, hidden, seed):
         D, beta_bar = feature_case(case)
-        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 20))
+        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 20).variances)
         net = randomized(SoftmaxPriorNet(D.shape[1], 20, hidden=hidden, seed=3), seed)
         expected = reference_softmax(net, D, log_lik)
         assert_matches_reference(net.objective_and_gradients(D, log_lik), expected)
@@ -396,7 +396,7 @@ class TestGroupedRows:
         D, beta_bar = feature_case("above_full_batch")
         config = TrainConfig(learning_rate=0.05, steps=7, seed=4)
         if kind == "softmax":
-            log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 6))
+            log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 6).variances)
             net, ref = (SoftmaxPriorNet(3, 6, hidden=4, seed=1) for _ in range(2))
             history = train_softmax(net, D, log_lik, config)
             evaluate = lambda idx: reference_softmax(ref, D[idx], log_lik[idx])
@@ -455,7 +455,7 @@ class TestGroupedRows:
         monkeypatch.setattr(np, "unique", counted_unique)
         monkeypatch.setattr(nets, "_Rows", CountedRows)
         D, beta_bar = feature_case("one_hot_groups")
-        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 6))
+        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 6).variances)
         train_softmax(SoftmaxPriorNet(2, 6, seed=0), D, log_lik, TrainConfig(steps=25, seed=0))
         assert calls == {"unique": 1, "rows": 1}
         calls.update(unique=0, rows=0)
@@ -692,5 +692,14 @@ class TestTracerContract:
         assert tracer.counts["nets.adam_steps"] == 5 + 2 * (sweeps - 1)
         assert tracer.counts["nets.forward"] == tracer.counts["nets.adam_steps"] + sweeps
         assert sum(s.name == "nets.train" for s in tracer.spans) == sweeps
+        # all three mixture priors share ash's posterior; the MDN's runs inside its own span
+        ash_spans = [s for s in tracer.spans if s.name == "ash.posterior"]
+        nets_ids = sorted(s.id for s in tracer.spans if s.name == "nets.posterior")
+        assert len(ash_spans) == sweeps
+        if prior_cls is SoftmaxPrior:
+            assert nets_ids == []
+        else:
+            assert len(nets_ids) == sweeps
+            assert sorted(s.parent for s in ash_spans) == nets_ids
         assert nets.train_softmax.__name__ == "train_softmax"  # originals restored
         assert "__wrapped__" not in vars(nets.Adam.step)
