@@ -6,15 +6,19 @@ heads emit component weights (including the point mass at zero), means and
 log variances.  Both are trained by ascending the marginal likelihood of
 the noisy coefficient estimates with hand-written reverse-mode gradients
 and Adam; no external ML runtime is involved, the networks are tiny.  The
-objectives run the networks on the distinct feature rows (``_Rows``), the
-softmax one in likelihood space, and Adam steps one flat parameter vector.
-Both priors' posteriors come from ``ash.mixture_posterior_stats``.
+objectives run the networks on the distinct feature rows, which a prior
+groups once (``_Groups``), the softmax one in likelihood space.  Their per-row
+arrays are component-major, (K, rows) (``_Rows``), so sums across components
+are passes over rows, and Adam steps one flat parameter vector in place.
+Every number is the one the row-major layout gave, bit for bit.  Both
+priors' posteriors come from ``ash.mixture_posterior_stats``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .ash import (
     marginal_loglik_matrix,
     mixture_posterior_stats,
 )
+from .data import SideInfo
 from .errors import ConfigError, DimensionMismatchError, NonFiniteGradientError
 
 # Adam moment decays and denominator offset
@@ -35,6 +40,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 FULL_BATCH_ROWS, MINIBATCH = 4096, 1024
 # below this a row's likelihood sum may hold subnormal terms: it is redone in log space
 UNDERFLOW = 1e-290
+# numpy adds a row of up to this many entries in order, as a pass over component-major rows
+# does; longer rows it adds pairwise
+IN_ORDER = 7
 
 
 @dataclass
@@ -52,55 +60,96 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam ascent on one flat parameter vector (updated in place)."""
+    """Adam ascent on one flat parameter vector (updated in place, through two scratch vectors)."""
 
     def __init__(self, theta: np.ndarray, lr: float):
         self.lr, self.t = lr, 0
         self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+        self._step, self._scale = np.empty_like(theta), np.empty_like(theta)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """theta += lr (m / b1c) / (sqrt(v / b2c) + EPS), each operation in that order."""
         self.t += 1
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
+        step, scale = self._step, self._scale
         self.m *= BETA1
-        self.m += (1.0 - BETA1) * grad
+        self.m += np.multiply(grad, 1.0 - BETA1, out=step)
         self.v *= BETA2
-        self.v += (1.0 - BETA2) * grad * grad
-        theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + EPS)
+        np.multiply(grad, 1.0 - BETA2, out=step)
+        step *= grad
+        self.v += step
+        np.divide(self.v, b2c, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += EPS
+        np.divide(self.m, b1c, out=step)
+        step *= self.lr
+        step /= scale
+        theta += step
 
 
-class _Rows:
-    """Objective inputs grouped by feature row, from ``np.unique(D, axis=0)``.
+class _Groups:
+    """Feature rows grouped by ``np.unique(D, axis=0)`` (``of``), or a subset of them.
 
-    ``data`` is ``source`` in group order, ``features`` one row per group, ``const`` the other
-    arguments.  ``spread`` gathers per-group arrays onto rows and ``sum`` adds rows per group;
-    when every row is distinct nothing is reordered and both are the identity.
+    ``order`` sorts the rows into groups, ``features`` holds one row per group,
+    ``group`` is each sorted row's group, ``starts`` each group's first sorted row
+    and ``counts`` its size.  When every row is distinct ``order`` and ``starts``
+    are None: the rows stay in place, each its own group.
     """
 
-    def __init__(self, unique: np.ndarray, inverse: np.ndarray, source: list, const: tuple = ()):
-        self.unique, self.inverse, self.source, self.const = unique, inverse, source, const
+    def __init__(self, unique: np.ndarray, inverse: np.ndarray):
+        self.unique, self.inverse = unique, inverse
         order = np.argsort(inverse, kind="stable")
         labels = inverse[order]
         first = np.r_[True, labels[1:] != labels[:-1]]
         if first.all():
-            self.features, self.data, self.starts = unique[inverse], source, None
+            self.order = self.starts = None
+            self.features = unique[inverse]
             self.group, self.counts = np.arange(len(inverse)), np.ones(len(inverse))
         else:
-            self.starts = np.flatnonzero(first)
+            self.order, self.starts = order, np.flatnonzero(first)
             self.features = unique[labels[self.starts]]
-            self.data = [a[order] for a in source]
             self.group = np.cumsum(first) - 1
             self.counts = np.diff(np.r_[self.starts, len(labels)])
 
+    @classmethod
+    def of(cls, D: np.ndarray) -> _Groups:
+        return cls(*np.unique(D, axis=0, return_inverse=True))
+
+
+class _Rows:
+    """Objective inputs on grouped feature rows: ``source`` and the component-major
+    (K, rows) ``major_source`` sorted into ``groups`` as ``data`` and ``major``, and
+    ``const``, the other arguments.
+
+    ``spread`` gathers a per-group (groups, K) array onto rows component-major, as
+    (K, rows); ``total`` adds a (K, rows) array up per group into a C-ordered
+    (groups, K) one, in the order the row-major group sums took.
+    """
+
+    def __init__(self, groups: _Groups, source: list, major_source: list = (), const: tuple = ()):
+        self.groups, self.source, self.major_source, self.const = groups, source, major_source, const
+        order = groups.order
+        self.data = source if order is None else [a[order] for a in source]
+        self.major = [np.ascontiguousarray(a) if order is None else np.take(a, order, axis=1)
+                      for a in major_source]
+
     def take(self, idx: np.ndarray) -> _Rows:
         """The rows ``idx`` of ``source``, grouped without another ``np.unique``."""
-        return _Rows(self.unique, self.inverse[idx], [a[idx] for a in self.source], self.const)
+        return _Rows(_Groups(self.groups.unique, self.groups.inverse[idx]), [a[idx] for a in self.source],
+                     [np.take(a, idx, axis=1) for a in self.major_source], self.const)
+
+    @cached_property
+    def offset(self) -> float:
+        """The last data array's sum, taken once: the softmax objective's row maxima."""
+        return self.data[-1].sum()
 
     def spread(self, a: np.ndarray) -> np.ndarray:
-        return a if self.starts is None else a[self.group]
+        return np.take(a.T, self.groups.group, axis=1)
 
-    def sum(self, a: np.ndarray) -> np.ndarray:
-        return a if self.starts is None else np.add.reduceat(a, self.starts, axis=0)
+    def total(self, a: np.ndarray) -> np.ndarray:
+        starts = self.groups.starts
+        return np.ascontiguousarray((a if starts is None else np.add.reduceat(a, starts, axis=1)).T)
 
 
 class _DenseNet:
@@ -155,12 +204,14 @@ class _DenseNet:
         pre = D @ self.w1 + self.b1
         return np.maximum(pre, 0.0), pre
 
-    def _group(self, D: np.ndarray, data: list, const: tuple = ()) -> _Rows:
-        """Group the row-aligned ``data`` by the feature rows ``D``, once."""
-        D = self._features(D)
-        if any(len(a) != len(D) for a in data):
-            raise DimensionMismatchError(f"{len(D)} feature rows, row data of {[len(a) for a in data]}")
-        return _Rows(*np.unique(D, axis=0, return_inverse=True), data, const)
+    def _group(self, D, data: list, major: list = (), const: tuple = ()) -> _Rows:
+        """The row-aligned ``data`` and (K, rows) ``major`` on the feature rows ``D``, grouped
+        once here unless ``D`` is already their ``_Groups``."""
+        groups = D if isinstance(D, _Groups) else _Groups.of(self._features(D))
+        n_rows = len(groups.inverse)
+        if any(len(a) != n_rows for a in data):
+            raise DimensionMismatchError(f"{n_rows} feature rows, row data of {[len(a) for a in data]}")
+        return _Rows(groups, data, major, const)
 
     def _as_rows(self, D, *args) -> _Rows:
         return D if isinstance(D, _Rows) else self._rows(D, *args)
@@ -199,7 +250,8 @@ class SoftmaxPriorNet(_DenseNet):
     def _rows(self, D: np.ndarray, log_lik: np.ndarray) -> _Rows:
         log_lik = np.atleast_2d(np.asarray(log_lik, dtype=float))
         rowmax = log_lik.max(axis=1)
-        return self._group(D, [np.exp(log_lik - rowmax[:, None]), log_lik, rowmax])
+        lik = np.exp(log_lik - rowmax[:, None])
+        return self._group(D, [lik, log_lik, rowmax], [lik.T])
 
     def objective(self, D, log_lik=None) -> float:
         """Marginal log likelihood sum_j log sum_m pi_m(d_j) exp(L_jm); ``D`` may be ``_Rows``."""
@@ -211,34 +263,41 @@ class SoftmaxPriorNet(_DenseNet):
     def _evaluate(self, rows: _Rows, gradients: bool):
         """With s_j = sum_m lik_jm pi_m(group of j): the objective sum_j log s_j +
         rowmax_j, the logit gradient pi_g * sum_{j in g} lik_j / s_j - n_g pi_g.
-        Rows whose s underflows take the exact log-space sum and responsibilities.
+        s is a row-major ``einsum`` (it adds the M terms in its own order); the group
+        sums of lik / s run on the component-major copy of lik.  Rows whose s
+        underflows take the exact log-space sum and responsibilities.
         """
-        h, pre = self._trunk(rows.features)
+        groups = rows.groups
+        h, pre = self._trunk(groups.features)
         z = h @ self.w + self.b
         log_norm, pi = _responsibilities(z)
         lik, log_lik, rowmax = rows.data
-        s = np.einsum("jm,jm->j", lik, rows.spread(pi))
+        s = np.einsum("jm,jm->j", lik, np.take(pi, groups.group, axis=0))
         low = np.flatnonzero(s < UNDERFLOW)
         s[low] = np.inf  # their lik / s is 0; their log s and responsibilities come below
         log_s = np.log(s)
-        g_z = -rows.counts[:, None] * pi
+        g_z = -groups.counts[:, None] * pi
         if low.size:
-            g_low = rows.group[low]
+            g_low = groups.group[low]
             log_marginal, gamma_low = _responsibilities((z - log_norm[:, None])[g_low] + log_lik[low])
             log_s[low] = log_marginal - rowmax[low]
             np.add.at(g_z, g_low, gamma_low)
-        objective = float(log_s.sum() + rowmax.sum())
+        objective = float(log_s.sum() + rows.offset)
         if not gradients:
             return objective, None
-        g_z += pi * rows.sum(lik / s[:, None])
-        return objective, self._gradients(rows.features, h, pre, [g_z])
+        g_z += pi * rows.total(rows.major[0] / s)
+        return objective, self._gradients(groups.features, h, pre, [g_z])
 
 
 class MdnPriorNet(_DenseNet):
     """Mixture-density network: weights (with null mass), means and log variances.
 
     Zero parameters give the documented neutral output: uniform weights,
-    zero means, unit variances.
+    zero means, unit variances.  The objective's log densities are (K+1, rows);
+    numpy adds their K+1 entries per row in order, as the row-major sums did,
+    up to ``IN_ORDER`` entries (``n_components`` <= 6, the default is 5).
+    Longer rows it adds pairwise, so those are copied row-major first, and
+    every ``n_components`` gives the row-major numbers bit for bit.
     """
 
     def __init__(self, n_features: int, n_components: int = 5, hidden: int = 16, seed: int = 0):
@@ -260,7 +319,7 @@ class MdnPriorNet(_DenseNet):
     def _rows(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> _Rows:
         beta_bar = np.asarray(beta_bar, dtype=float)
         null_logdens = marginal_loglik_matrix(beta_bar, sigma02, 0.0)[:, 0]
-        return self._group(D, [beta_bar, null_logdens], (sigma02,))
+        return self._group(D, [beta_bar, null_logdens], const=(sigma02,))
 
     def objective(self, D, beta_bar=None, sigma02=None) -> float:
         """Marginal log likelihood of ``beta_bar`` under each row's mixture; ``D`` may be ``_Rows``."""
@@ -270,10 +329,11 @@ class MdnPriorNet(_DenseNet):
         return self._evaluate(self._as_rows(D, beta_bar, sigma02), True)
 
     def _evaluate(self, rows: _Rows, gradients: bool):
-        """Heads per group, densities per row.  With d = beta_bar - mean, v = sigma02 + variance,
-        group g's head gradients are sum gamma - n_g pi, sum gamma_k d / v, variance / (2 v)
-        (sum gamma_k d²/v - sum gamma_k)."""
-        h, pre = self._trunk(rows.features)
+        """Heads per group, densities per row, component-major: (K+1, rows) and (K, rows).
+        With d = beta_bar - mean, v = sigma02 + variance, group g's head gradients are
+        sum gamma - n_g pi, sum gamma_k d / v, variance / (2 v) (sum gamma_k d²/v - sum gamma_k)."""
+        groups = rows.groups
+        h, pre = self._trunk(groups.features)
         z_pi = h @ self.w_pi + self.b_pi
         log_norm, pi = _responsibilities(z_pi)
         means = h @ self.w_mu + self.b_mu
@@ -283,21 +343,22 @@ class MdnPriorNet(_DenseNet):
         inv_v = 1.0 / v
         log_w = z_pi - log_norm[:, None]
         log_w[:, 1:] -= 0.5 * (LOG_2PI + np.log(v))
-        a = rows.spread(log_w)  # log_w itself when every row is its own group
-        d = beta_bar[:, None] - rows.spread(means)
+        a = rows.spread(log_w)
+        d = beta_bar - rows.spread(means)
         q = d * d * rows.spread(inv_v)
-        a[:, 0] += null_logdens
-        a[:, 1:] -= 0.5 * q
-        log_marginal, gamma = _responsibilities(a)
+        a[0] += null_logdens
+        a[1:] -= 0.5 * q
+        log_marginal, gamma = _responsibilities(a.T if len(a) <= IN_ORDER else np.ascontiguousarray(a.T))
         objective = float(log_marginal.sum())
         if not gradients:
             return objective, None
-        gk = gamma[:, 1:]
-        g_gamma = rows.sum(gamma)
-        g_pi = g_gamma - rows.counts[:, None] * pi
-        g_mu = rows.sum(gk * d) * inv_v
-        g_lv = 0.5 * variances * inv_v * (rows.sum(gk * q) - g_gamma[:, 1:])
-        return objective, self._gradients(rows.features, h, pre, [g_pi, g_mu, g_lv])
+        gamma = gamma.T
+        gk = gamma[1:]
+        g_gamma = rows.total(gamma)
+        g_pi = g_gamma - groups.counts[:, None] * pi
+        g_mu = rows.total(gk * d) * inv_v
+        g_lv = 0.5 * variances * inv_v * (rows.total(gk * q) - g_gamma[:, 1:])
+        return objective, self._gradients(groups.features, h, pre, [g_pi, g_mu, g_lv])
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +366,13 @@ class MdnPriorNet(_DenseNet):
 # ---------------------------------------------------------------------------
 
 
-def _train(net: _DenseNet, rows: tuple, extra: tuple, config: TrainConfig | None,
+def _train(net: _DenseNet, D, data: tuple, extra: tuple, config: TrainConfig | None,
            steps: int | None) -> np.ndarray:
-    """Adam ascent of ``net.objective(*rows, *extra)``; returns the objective trace.
+    """Adam ascent of ``net.objective(D, *data, *extra)``; returns the objective trace.
 
-    ``rows`` (features first, finite, of one length) and ``extra`` are the
-    objective's arguments, grouped once as the ``_Rows`` every call takes.  Up to
+    ``D`` is the feature rows or their ``_Groups``; ``data`` (finite, one entry
+    per row) and ``extra`` are the objective's other arguments, put on the
+    groups once as the ``_Rows`` every call takes.  Up to
     ``FULL_BATCH_ROWS`` rows a step costs one full-batch forward pass: the
     objective that comes with the gradients scores the step's starting
     point, so the trace and the best parameters run one step behind, and the
@@ -321,11 +383,12 @@ def _train(net: _DenseNet, rows: tuple, extra: tuple, config: TrainConfig | None
     parameter vector scored is restored, so the objective never ends lower.
     """
     config = config or TrainConfig()
-    rows = tuple(np.asarray(a, dtype=float) for a in rows)
-    if not all(np.isfinite(a).all() for a in rows):
+    data = tuple(np.asarray(a, dtype=float) for a in data)
+    checked = data if isinstance(D, _Groups) else (np.asarray(D, dtype=float), *data)
+    if not all(np.isfinite(a).all() for a in checked):
         raise ConfigError("training inputs must be finite")
-    grouped = net._rows(*rows, *extra)
-    n_rows = len(grouped.inverse)
+    grouped = net._rows(D, *data, *extra)
+    n_rows = len(grouped.source[0])
     n_steps = steps if steps is not None else config.steps
     opt = Adam(net.flat, config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -358,14 +421,18 @@ def _train(net: _DenseNet, rows: tuple, extra: tuple, config: TrainConfig | None
 
 def train_softmax(net: SoftmaxPriorNet, D: np.ndarray, log_lik: np.ndarray,
                   config: TrainConfig | None = None, steps: int | None = None) -> np.ndarray:
-    """Fit the softmax prior net by marginal-likelihood ascent; returns the objective trace."""
-    return _train(net, (D, log_lik), (), config, steps)
+    """Fit the softmax prior net by marginal-likelihood ascent; returns the objective trace.
+
+    ``D`` is the feature rows or their ``_Groups``, as a prior passes them."""
+    return _train(net, D, (log_lik,), (), config, steps)
 
 
 def train_mdn(net: MdnPriorNet, D: np.ndarray, beta_bar: np.ndarray, sigma02: float,
               config: TrainConfig | None = None, steps: int | None = None) -> np.ndarray:
-    """Fit the MDN prior net by marginal-likelihood ascent; returns the objective trace."""
-    return _train(net, (D, beta_bar), (sigma02,), config, steps)
+    """Fit the MDN prior net by marginal-likelihood ascent; returns the objective trace.
+
+    ``D`` is the feature rows or their ``_Groups``, as a prior passes them."""
+    return _train(net, D, (beta_bar,), (sigma02,), config, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +478,10 @@ class _NetPrior:
                  train_config: TrainConfig | None):
         if hidden < 0:
             raise ConfigError(f"hidden width must be non-negative, got {hidden}")
-        self.D = np.asarray(D, dtype=float)
+        self.D = SideInfo.from_features(D).D  # a 2-d, finite matrix, as side information must be
+        # grouped once per prior; the fitted weights still come from a forward pass over all
+        # rows: for some shapes BLAS rounds a product over the few distinct rows differently
+        self._groups = _Groups.of(self.D)
         self.train_config = train_config if train_config is not None else TrainConfig()
         self.n_components = n_components
         self.hidden = hidden
@@ -460,7 +530,7 @@ class SoftmaxPrior(_NetPrior):
         if self.grid is None:
             self.grid = default_grid(beta_bar, sigma02, self.n_components)
         log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid.variances)
-        train_softmax(self.net, self.D, log_lik, self.train_config, steps=self._steps())
+        train_softmax(self.net, self._groups, log_lik, self.train_config, steps=self._steps())
         self._last_weights = self.net.forward(self.D)
         return mixture_posterior_stats(beta_bar, sigma02, log_lik, self._last_weights, self.grid.variances)
 
@@ -484,6 +554,6 @@ class MdnPrior(_NetPrior):
         super().__init__(D, n_components, hidden, train_config)
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
-        train_mdn(self.net, self.D, beta_bar, sigma02, self.train_config, steps=self._steps())
+        train_mdn(self.net, self._groups, beta_bar, sigma02, self.train_config, steps=self._steps())
         self._last_weights, means, variances = self.net.forward(self.D)
         return mdn_posterior_stats(beta_bar, sigma02, self._last_weights, means, variances)

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import hashlib
 import importlib.util
 import itertools
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from nash.model_io import dumps_canonical, model_document
 
 
 def piecewise_image(seed: int, size: int = 28, background=(0.0, 0.15), levels=(0.3, 1.0)) -> np.ndarray:
@@ -55,6 +58,23 @@ def simplex_grid_best(log_lik: np.ndarray, step: float = 0.01) -> float:
             values = np.log(block @ lik.T).sum(axis=1) + rowmax.sum()
             best = max(best, float(values.max()))
     return best
+
+
+def fit_digest(result) -> str:
+    """SHA-256 over everything a fit returns: coefficients, intercept, ELBO trace, the four
+    summary arrays, fitted values, sigma², sigma0², sweeps, null mass and the model document.
+
+    Compare digests computed in one process; they follow the CPU's BLAS kernels, so they
+    are no golden values.
+    """
+    digest = hashlib.sha256()
+    summaries, state = result.summaries, result.state
+    for values in (result.coefficients, [result.intercept], result.elbo_trace, summaries.mean,
+                   summaries.variance, summaries.null_prob, summaries.log_marginal, result.fitted_values,
+                   [state.sigma2, state.sigma02, result.sweeps, result.prior_null_mass]):
+        digest.update(np.asarray(values, dtype=float).tobytes())
+    digest.update(dumps_canonical(model_document(result)).encode())
+    return digest.hexdigest()
 
 
 def finite_difference_gradient(f, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -510,6 +510,49 @@ def fresh_priors(p):
     }
 
 
+class TestSideInfoMatchesPrior:
+    """``fit`` rejects side information other than the features or graph the prior holds."""
+
+    def test_other_features_rejected_before_the_first_sweep(self):
+        # the prior trains on its own features: one-hot groups given here would be ignored
+        X, y, _ = random_regression(0, n=30, p=8)
+        prior = nash.SoftmaxPrior(np.zeros((8, 2)), n_components=3, train_config=nash.TrainConfig(steps=5))
+        with pytest.raises(ConfigError, match="side_info's features differ from the ones the 'softmax' prior"):
+            fit(Dataset(y=y, X=X), SideInfo.from_features(np.eye(2)[np.arange(8) % 2]), prior,
+                FitConfig(max_sweeps=2))
+        assert not prior.updated
+
+    @pytest.mark.parametrize("family", ["softmax", "mdn", "fused"])
+    def test_prior_built_for_other_size_rejected(self, family):
+        X, y, _ = random_regression(1, n=30, p=8)
+        prior = fresh_priors(10)[family][0]()
+        side = fresh_priors(8)[family][1]
+        expected = "10 nodes, side_info one of 8" if family == "fused" else r"\(10, 2\), side_info of shape \(8, 2\)"
+        with pytest.raises(DimensionMismatchError, match=expected):
+            fit(Dataset(y=y, X=X), side, prior, FitConfig(max_sweeps=2))
+        assert not prior.updated
+
+    def test_other_graph_rejected(self):
+        X, y, _ = random_regression(2, n=30, p=8)
+        prior = nash.FusedPrior(nash.Graph.chain(8))
+        side = SideInfo.from_graph(nash.Graph(8, [[0, 2], [2, 4], [1, 3]]))
+        with pytest.raises(ConfigError, match="side_info's graph differs from the one the 'fused' prior"):
+            fit(Dataset(y=y, X=X), side, prior, FitConfig(max_sweeps=2))
+        assert not prior.updated
+
+    @pytest.mark.parametrize("family", ["softmax", "mdn", "fused"])
+    def test_equal_copies_accepted(self, family):
+        X, y, _ = random_regression(3, n=30, p=8)
+        make, side = fresh_priors(8)[family]
+        if family == "fused":
+            copied = SideInfo.from_graph(nash.Graph.chain(8))
+        else:
+            copied = SideInfo.from_features(side.D.copy())
+        data, config = Dataset(y=y, X=X), FitConfig(max_sweeps=3)
+        np.testing.assert_array_equal(fit(data, copied, make(), config).coefficients,
+                                      fit(data, side, make(), config).coefficients)
+
+
 class TestPriorReuse:
     """A prior object serves one fit: a second fit would warm-start from the first."""
 

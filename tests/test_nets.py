@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nash
-from conftest import finite_difference_gradient, gradient_relative_error, random_regression
+from conftest import finite_difference_gradient, fit_digest, gradient_relative_error, random_regression
 from nash import nets
 from nash.ash import (
     LOG_2PI,
@@ -16,7 +16,7 @@ from nash.ash import (
     marginal_loglik_matrix,
     mixture_objective,
 )
-from nash.errors import ConfigError, DimensionMismatchError
+from nash.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from nash.nets import (
     Adam,
     MdnPrior,
@@ -703,3 +703,304 @@ class TestTracerContract:
             assert sorted(s.parent for s in ash_spans) == nets_ids
         assert nets.train_softmax.__name__ == "train_softmax"  # originals restored
         assert "__wrapped__" not in vars(nets.Adam.step)
+
+
+# ---------------------------------------------------------------------------
+# Row-major reference: the grouped rows, objectives and Adam step as they were
+# before the objectives went component-major (verbatim but for the class names)
+# ---------------------------------------------------------------------------
+
+
+class ParentRows:
+    """Objective inputs grouped by feature row, from ``np.unique(D, axis=0)``.
+
+    ``data`` is ``source`` in group order, ``features`` one row per group, ``const`` the other
+    arguments.  ``spread`` gathers per-group arrays onto rows and ``sum`` adds rows per group;
+    when every row is distinct nothing is reordered and both are the identity.
+    """
+
+    def __init__(self, unique: np.ndarray, inverse: np.ndarray, source: list, const: tuple = ()):
+        self.unique, self.inverse, self.source, self.const = unique, inverse, source, const
+        order = np.argsort(inverse, kind="stable")
+        labels = inverse[order]
+        first = np.r_[True, labels[1:] != labels[:-1]]
+        if first.all():
+            self.features, self.data, self.starts = unique[inverse], source, None
+            self.group, self.counts = np.arange(len(inverse)), np.ones(len(inverse))
+        else:
+            self.starts = np.flatnonzero(first)
+            self.features = unique[labels[self.starts]]
+            self.data = [a[order] for a in source]
+            self.group = np.cumsum(first) - 1
+            self.counts = np.diff(np.r_[self.starts, len(labels)])
+
+    def take(self, idx: np.ndarray) -> "ParentRows":
+        """The rows ``idx`` of ``source``, grouped without another ``np.unique``."""
+        return ParentRows(self.unique, self.inverse[idx], [a[idx] for a in self.source], self.const)
+
+    def spread(self, a: np.ndarray) -> np.ndarray:
+        return a if self.starts is None else a[self.group]
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        return a if self.starts is None else np.add.reduceat(a, self.starts, axis=0)
+
+
+class ParentGrouping:
+    """The grouping half of the reference nets: a ``ParentRows`` per training call."""
+
+    def _group(self, D: np.ndarray, data: list, const: tuple = ()) -> ParentRows:
+        """Group the row-aligned ``data`` by the feature rows ``D``, once."""
+        D = self._features(D)
+        if any(len(a) != len(D) for a in data):
+            raise DimensionMismatchError(f"{len(D)} feature rows, row data of {[len(a) for a in data]}")
+        return ParentRows(*np.unique(D, axis=0, return_inverse=True), data, const)
+
+    def _as_rows(self, D, *args) -> ParentRows:
+        return D if isinstance(D, ParentRows) else self._rows(D, *args)
+
+
+class ParentSoftmaxNet(ParentGrouping, SoftmaxPriorNet):
+    def _rows(self, D: np.ndarray, log_lik: np.ndarray) -> ParentRows:
+        log_lik = np.atleast_2d(np.asarray(log_lik, dtype=float))
+        rowmax = log_lik.max(axis=1)
+        return self._group(D, [np.exp(log_lik - rowmax[:, None]), log_lik, rowmax])
+
+    def _evaluate(self, rows: ParentRows, gradients: bool):
+        h, pre = self._trunk(rows.features)
+        z = h @ self.w + self.b
+        log_norm, pi = _responsibilities(z)
+        lik, log_lik, rowmax = rows.data
+        s = np.einsum("jm,jm->j", lik, rows.spread(pi))
+        low = np.flatnonzero(s < nets.UNDERFLOW)
+        s[low] = np.inf  # their lik / s is 0; their log s and responsibilities come below
+        log_s = np.log(s)
+        g_z = -rows.counts[:, None] * pi
+        if low.size:
+            g_low = rows.group[low]
+            log_marginal, gamma_low = _responsibilities((z - log_norm[:, None])[g_low] + log_lik[low])
+            log_s[low] = log_marginal - rowmax[low]
+            np.add.at(g_z, g_low, gamma_low)
+        objective = float(log_s.sum() + rowmax.sum())
+        if not gradients:
+            return objective, None
+        g_z += pi * rows.sum(lik / s[:, None])
+        return objective, self._gradients(rows.features, h, pre, [g_z])
+
+
+class ParentMdnNet(ParentGrouping, MdnPriorNet):
+    def _rows(self, D: np.ndarray, beta_bar: np.ndarray, sigma02: float) -> ParentRows:
+        beta_bar = np.asarray(beta_bar, dtype=float)
+        null_logdens = marginal_loglik_matrix(beta_bar, sigma02, 0.0)[:, 0]
+        return self._group(D, [beta_bar, null_logdens], (sigma02,))
+
+    def _evaluate(self, rows: ParentRows, gradients: bool):
+        h, pre = self._trunk(rows.features)
+        z_pi = h @ self.w_pi + self.b_pi
+        log_norm, pi = _responsibilities(z_pi)
+        means = h @ self.w_mu + self.b_mu
+        variances = np.exp(h @ self.w_var + self.b_var)
+        beta_bar, null_logdens = rows.data
+        v = rows.const[0] + variances
+        inv_v = 1.0 / v
+        log_w = z_pi - log_norm[:, None]
+        log_w[:, 1:] -= 0.5 * (LOG_2PI + np.log(v))
+        a = rows.spread(log_w)  # log_w itself when every row is its own group
+        d = beta_bar[:, None] - rows.spread(means)
+        q = d * d * rows.spread(inv_v)
+        a[:, 0] += null_logdens
+        a[:, 1:] -= 0.5 * q
+        log_marginal, gamma = _responsibilities(a)
+        objective = float(log_marginal.sum())
+        if not gradients:
+            return objective, None
+        gk = gamma[:, 1:]
+        g_gamma = rows.sum(gamma)
+        g_pi = g_gamma - rows.counts[:, None] * pi
+        g_mu = rows.sum(gk * d) * inv_v
+        g_lv = 0.5 * variances * inv_v * (rows.sum(gk * q) - g_gamma[:, 1:])
+        return objective, self._gradients(rows.features, h, pre, [g_pi, g_mu, g_lv])
+
+
+class ParentAdam:
+    """Adam ascent on one flat parameter vector (updated in place)."""
+
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        self.t += 1
+        b1c = 1.0 - nets.BETA1**self.t
+        b2c = 1.0 - nets.BETA2**self.t
+        self.m *= nets.BETA1
+        self.m += (1.0 - nets.BETA1) * grad
+        self.v *= nets.BETA2
+        self.v += (1.0 - nets.BETA2) * grad * grad
+        theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + nets.EPS)
+
+
+class ParentSoftmaxPrior(SoftmaxPrior):
+    net_type = ParentSoftmaxNet
+
+    def update(self, beta_bar: np.ndarray, sigma02: float):
+        if self.grid is None:
+            self.grid = nash.ash.default_grid(beta_bar, sigma02, self.n_components)
+        log_lik = marginal_loglik_matrix(beta_bar, sigma02, self.grid.variances)
+        train_softmax(self.net, self.D, log_lik, self.train_config, steps=self._steps())
+        self._last_weights = self.net.forward(self.D)
+        return nash.ash.mixture_posterior_stats(beta_bar, sigma02, log_lik, self._last_weights,
+                                                self.grid.variances)
+
+
+class ParentMdnPrior(MdnPrior):
+    net_type = ParentMdnNet
+
+    def update(self, beta_bar: np.ndarray, sigma02: float):
+        train_mdn(self.net, self.D, beta_bar, sigma02, self.train_config, steps=self._steps())
+        self._last_weights, means, variances = self.net.forward(self.D)
+        return mdn_posterior_stats(beta_bar, sigma02, self._last_weights, means, variances)
+
+
+def assert_bit_identical(got, expected):
+    assert got[0] == expected[0]
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
+def softmax_pair(n_features, hidden, seed, n_components=20):
+    """A seeded (or randomized) net and its row-major reference with the same parameters."""
+    net = randomized(SoftmaxPriorNet(n_features, n_components, hidden=hidden, seed=3), seed)
+    ref = ParentSoftmaxNet(n_features, n_components, hidden=hidden, seed=3)
+    ref.set_flat(net.flat)
+    return net, ref
+
+
+def mdn_pair(n_features, n_components, hidden, seed):
+    net = randomized(MdnPriorNet(n_features, n_components=n_components, hidden=hidden, seed=3), seed)
+    ref = ParentMdnNet(n_features, n_components=n_components, hidden=hidden, seed=3)
+    ref.set_flat(net.flat)
+    return net, ref
+
+
+class TestRowMajorParity:
+    """Component-major objectives, the in-place Adam step and the per-prior grouping give
+    the row-major reference's numbers bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_softmax_objective_and_gradient(self, case, hidden, seed):
+        D, beta_bar = feature_case(case)
+        log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 20).variances)
+        net, ref = softmax_pair(D.shape[1], hidden, seed)
+        assert_bit_identical(net.objective_and_gradients(D, log_lik), ref.objective_and_gradients(D, log_lik))
+        assert net.objective(D, log_lik) == ref.objective(D, log_lik)
+
+    @pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+    @pytest.mark.parametrize("n_components", [5, 7])  # 6 and 8 entries per row: numpy adds 8 pairwise
+    @pytest.mark.parametrize("hidden", [0, 16])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mdn_objective_and_gradient(self, case, n_components, hidden, seed):
+        D, beta_bar = feature_case(case)
+        net, ref = mdn_pair(D.shape[1], n_components, hidden, seed)
+        assert_bit_identical(net.objective_and_gradients(D, beta_bar, 0.3),
+                             ref.objective_and_gradients(D, beta_bar, 0.3))
+        assert net.objective(D, beta_bar, 0.3) == ref.objective(D, beta_bar, 0.3)
+
+    @pytest.mark.parametrize("shifted", ["every_row", "group_0"])
+    def test_underflowing_rows(self, shifted):
+        rng = np.random.default_rng(13)
+        D = np.eye(2)[np.arange(20) % 2]
+        log_lik = rng.normal(0.0, 1.0, (20, 4))
+        log_lik[slice(None) if shifted == "every_row" else slice(0, None, 2), 0] += 800.0
+        net, ref = softmax_pair(2, 0, 0, n_components=4)
+        for each in (net, ref):
+            each.b[:] = [-900.0, 0.0, 0.0, 0.0]
+        assert_bit_identical(net.objective_and_gradients(D, log_lik), ref.objective_and_gradients(D, log_lik))
+
+    def test_adam_step(self):
+        rng = np.random.default_rng(7)
+        theta = rng.normal(0.0, 1.0, 40)
+        ref_theta = theta.copy()
+        opt, ref = Adam(theta, 0.01), ParentAdam(ref_theta, 0.01)
+        for _ in range(300):
+            grad = rng.normal(0.0, 10.0, 40) * rng.choice([0.0, 1e-9, 1.0, 1e6], 40)
+            kept = grad.copy()
+            opt.step(theta, grad)
+            ref.step(ref_theta, grad)
+            np.testing.assert_array_equal(grad, kept)
+        for got, expected in ((theta, ref_theta), (opt.m, ref.m), (opt.v, ref.v)):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("case", ["one_hot_groups", "duplicated_continuous", "distinct_continuous",
+                                      "above_full_batch"])
+    @pytest.mark.parametrize("kind", ["softmax", "mdn5", "mdn7"])
+    def test_training(self, case, kind, monkeypatch):
+        # above_full_batch takes the minibatch path
+        D, beta_bar = feature_case(case)
+        config = TrainConfig(learning_rate=0.05, steps=12, seed=4)
+        if kind == "softmax":
+            log_lik = marginal_loglik_matrix(beta_bar, 0.3, nash.ash.default_grid(beta_bar, 0.3, 20).variances)
+            net, ref = softmax_pair(D.shape[1], 3, 0)
+            train = lambda each: train_softmax(each, D, log_lik, config)
+        else:
+            net, ref = mdn_pair(D.shape[1], int(kind[3:]), 16, 0)
+            train = lambda each: train_mdn(each, D, beta_bar, 0.3, config)
+        history = train(net)
+        monkeypatch.setattr(nets, "Adam", ParentAdam)
+        np.testing.assert_array_equal(history, train(ref))
+        np.testing.assert_array_equal(net.flat, ref.flat)
+
+    @pytest.mark.parametrize("features", ["one_hot", "duplicated_continuous"])
+    @pytest.mark.parametrize("family", ["softmax_depth_0", "softmax_hidden_3", "mdn"])
+    def test_fit_digest(self, features, family, monkeypatch):
+        X, y, _ = random_regression(5, n=60, p=40)
+        rng = np.random.default_rng(6)
+        if features == "one_hot":
+            D = np.eye(2)[np.arange(40) % 2]
+        else:
+            D = rng.standard_normal((7, 3))[rng.integers(0, 7, 40)]
+        config = TrainConfig(learning_rate=0.01, steps=40, later_steps=5, seed=1)
+        make = {
+            "softmax_depth_0": lambda cls: cls(D, n_components=6, train_config=config),
+            "softmax_hidden_3": lambda cls: cls(D, n_components=6, hidden=3, train_config=config),
+            "mdn": lambda cls: cls(D, train_config=config),
+        }[family]
+        softmax = family.startswith("softmax")
+        new_cls, ref_cls = (SoftmaxPrior, ParentSoftmaxPrior) if softmax else (MdnPrior, ParentMdnPrior)
+        data, fit_config = nash.Dataset(y=y, X=X), nash.FitConfig(max_sweeps=15, elbo_tol=1e-300)
+        result = nash.fit(data, nash.SideInfo.from_features(D), make(new_cls), fit_config)
+        monkeypatch.setattr(nets, "Adam", ParentAdam)
+        expected = nash.fit(data, nash.SideInfo.from_features(D), make(ref_cls), fit_config)
+        assert result.sweeps == 15
+        assert fit_digest(result) == fit_digest(expected)
+
+    @pytest.mark.parametrize("prior_cls", [SoftmaxPrior, MdnPrior])
+    def test_grouping_runs_once_per_network_fit(self, prior_cls, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(1) or unique(*args, **kwargs))
+        X, y, _ = random_regression(4, n=30, p=12)
+        D = np.eye(3)[np.arange(12) % 3]
+        prior = prior_cls(D, n_components=3, train_config=TrainConfig(steps=5, later_steps=2, seed=0))
+        result = nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.from_features(D), prior,
+                          nash.FitConfig(max_sweeps=4, elbo_tol=1e-300))
+        assert result.sweeps == 4
+        assert len(calls) == 1
+
+
+class TestPriorFeatures:
+    """Network priors take the features side information takes: a finite 2-d matrix."""
+
+    @pytest.mark.parametrize("prior_cls", [SoftmaxPrior, MdnPrior])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, prior_cls, value, rng):
+        D = rng.standard_normal((6, 2))
+        D[3, 1] = value
+        with pytest.raises(NonFiniteError, match="non-finite side-information entries"):
+            prior_cls(D)
+
+    @pytest.mark.parametrize("prior_cls", [SoftmaxPrior, MdnPrior])
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)])
+    def test_features_not_a_matrix_rejected(self, prior_cls, shape, rng):
+        with pytest.raises(DimensionMismatchError, match="must form a 2-d matrix"):
+            prior_cls(rng.standard_normal(shape))
