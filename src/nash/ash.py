@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import SideInfo
 from .errors import ConfigError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+GAUSSIAN_MAD = 0.6744897501960817  # third quartile of the standard normal
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ class AshPrior:
     """
 
     kind = "ash"
-    side_kind = "none"
+    side_info = SideInfo.none()
 
     def __init__(self, n_components: int = 20, grid: MixtureGrid | None = None):
         if grid is None and n_components < 2:

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
-    """The prior and its side information for a design with ``p`` original columns.
+    """The prior and the side information it holds for a design with ``p`` original columns.
 
     Side information always describes the original columns.  When
     ``--drop-constant`` kept only the columns ``kept``, feature rows are taken
@@ -145,7 +145,8 @@ def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
         seed=seed,
     )
     if args.prior == "ash":
-        return AshPrior(n_components=args.grid_size), SideInfo.none()
+        prior = AshPrior(n_components=args.grid_size)
+        return prior, prior.side_info
     if args.prior in ("softmax", "mdn"):
         if not args.side:
             raise ConfigError(f"{args.prior} prior requires side information (--side)")
@@ -153,13 +154,14 @@ def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
         SideInfo.from_features(D).check_p(p)
         if kept is not None:
             D = D[kept]
-        side = SideInfo.from_features(D)
         net_args = {"train_config": train_config}
         if args.hidden is not None:
             net_args["hidden"] = args.hidden
         if args.prior == "softmax":
-            return SoftmaxPrior(D, n_components=args.grid_size, **net_args), side
-        return MdnPrior(D, n_components=args.mdn_components, **net_args), side
+            prior = SoftmaxPrior(D, n_components=args.grid_size, **net_args)
+        else:
+            prior = MdnPrior(D, n_components=args.mdn_components, **net_args)
+        return prior, prior.side_info
     if not args.side:
         raise ConfigError("fused prior requires a graph (--side chain | grid:HxW | edge file)")
     side_arg = args.side
@@ -177,7 +179,8 @@ def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
         graph = load_graph_edges_csv(side_arg, p)
     if kept is not None:
         graph = graph.subgraph(kept)
-    return FusedPrior(graph), SideInfo.from_graph(graph)
+    prior = FusedPrior(graph)
+    return prior, prior.side_info
 
 
 def cmd_fit(args) -> int:

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConstantColumnError,
     DimensionMismatchError,
     LengthMismatchError,
     NonFiniteError,
     ParseError,
+    reading,
 )
 
 
@@ -90,6 +92,8 @@ class SideInfo:
         D = np.asarray(D, dtype=float)
         if D.ndim != 2:
             raise DimensionMismatchError("side-information features must form a 2-d matrix")
+        if D.shape[1] == 0:
+            raise DimensionMismatchError("side-information features need at least one column")
         if not np.isfinite(D).all():
             raise NonFiniteError("non-finite side-information entries")
         return cls(kind="features", D=D)
@@ -97,6 +101,26 @@ class SideInfo:
     @classmethod
     def from_graph(cls, graph) -> "SideInfo":
         return cls(kind="graph", graph=graph)
+
+    def check_given(self, given: "SideInfo", owner: str) -> None:
+        """Reject ``given`` unless it is this side information, held by the ``owner`` prior: first
+        its kind, then the features' shape and values or the graph's node count and edges."""
+        if given.kind != self.kind:
+            raise ConfigError(
+                f"{owner!r} prior requires side information of kind {self.kind!r}, got {given.kind!r}")
+        if self.kind == "features":
+            if self.D.shape != given.D.shape:
+                raise DimensionMismatchError(f"the {owner!r} prior holds features of shape {self.D.shape}, "
+                                             f"side_info of shape {given.D.shape}")
+            if not np.array_equal(self.D, given.D):
+                raise ConfigError(f"side_info's features differ from the ones the {owner!r} prior holds")
+        graph, other = self.graph, given.graph
+        if self.kind == "graph" and graph is not other:
+            if graph.p != other.p:
+                raise DimensionMismatchError(
+                    f"the {owner!r} prior holds a graph of {graph.p} nodes, side_info one of {other.p}")
+            if not (np.array_equal(graph.src, other.src) and np.array_equal(graph.dst, other.dst)):
+                raise ConfigError(f"side_info's graph differs from the one the {owner!r} prior holds")
 
     def check_p(self, p: int) -> None:
         if self.kind == "features" and self.D.shape[0] != p:
@@ -176,25 +200,13 @@ def _parse_float(token: str, line: int, column: int) -> float:
     return value
 
 
-def _open_csv(path: str):
-    try:
-        return open(path, newline="", encoding=CSV_ENCODING)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def _read_rows(fh) -> tuple[list[list[str]], list[int]]:
     """The non-empty rows of an open CSV file, through the csv module, and the line each ends on.
 
     Blank lines are dropped but still counted, so an error names the physical line.
     """
     reader = csv.reader(fh)
-    try:
-        numbered = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
-        raise ParseError(f"cannot read {fh.name}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"{fh.name} is not UTF-8 text") from None
+    numbered = [(reader.line_num, row) for row in reader if row]
     return [row for _, row in numbered], [line for line, _ in numbered]
 
 
@@ -253,7 +265,7 @@ def load_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     read twice (a pipe), goes field by field through the csv module and
     ``float``, which report the line and column of the first bad field.
     """
-    with _open_csv(path) as fh:
+    with reading(path), open(path, newline="", encoding=CSV_ENCODING) as fh:
         if fh.seekable():
             plain = _load_plain_csv(fh)
             if plain is not None:
@@ -314,7 +326,7 @@ def _side_has_header(rows: list[list[str]]) -> bool:
 
 def load_side_csv(path: str) -> tuple[np.ndarray, list[str]]:
     """Read per-covariate side features; non-numeric columns are one-hot encoded."""
-    with _open_csv(path) as fh:
+    with reading(path), open(path, newline="", encoding=CSV_ENCODING) as fh:
         rows, lines = _read_rows(fh)
     if not rows:
         raise ParseError(f"{path} is empty")

@@ -30,10 +30,12 @@ VARIANCE_FLOOR = 1e-12
 
 
 class PriorModel(Protocol):
-    """Prior families the engine can delegate the normal-means step to (``fit`` rejects an ``updated`` one)."""
+    """Prior families the engine can delegate the normal-means step to: ``fit`` rejects side
+    information other than ``side_info``, the one the prior was built on, and an ``updated`` prior."""
 
     kind: str
-    side_kind: str
+    side_info: SideInfo
+    updated: bool
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
         """Refit prior parameters and return fresh per-coordinate posteriors."""
@@ -249,25 +251,6 @@ def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> Fit
     return state
 
 
-def _check_side_info(prior: PriorModel, side_info: SideInfo) -> None:
-    """Reject a ``side_info`` whose features or graph are not the ``D`` or ``graph`` the prior
-    was built on (its updates use its own); a prior without either (a user class) passes."""
-    D = getattr(prior, "D", None)
-    if side_info.kind == "features" and D is not None:
-        if D.shape != side_info.D.shape:
-            raise DimensionMismatchError(f"the {prior.kind!r} prior holds features of shape {D.shape}, "
-                                         f"side_info of shape {side_info.D.shape}")
-        if not np.array_equal(D, side_info.D):
-            raise ConfigError(f"side_info's features differ from the ones the {prior.kind!r} prior holds")
-    graph, given = getattr(prior, "graph", None), side_info.graph
-    if side_info.kind == "graph" and graph is not None and graph is not given:
-        if graph.p != given.p:
-            raise DimensionMismatchError(
-                f"the {prior.kind!r} prior holds a graph of {graph.p} nodes, side_info one of {given.p}")
-        if not (np.array_equal(graph.src, given.src) and np.array_equal(graph.dst, given.dst)):
-            raise ConfigError(f"side_info's graph differs from the one the {prior.kind!r} prior holds")
-
-
 def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitConfig | None = None) -> FitResult:
     """Fit the model by coordinate ascent until the ELBO stabilizes.
 
@@ -276,19 +259,15 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
     the flag on the result, not an exception.  Identical inputs (and, for
     network priors, identical training seeds) give bit-identical results.  A
     prior object serves one fit: one whose ``updated`` reads True is rejected,
-    and so is a ``side_info`` other than the features or graph the prior holds.
+    and so is a ``side_info`` other than the ``prior.side_info`` it was built on.
     """
     if config is None:
         config = FitConfig()
-    if prior.side_kind != side_info.kind:
-        raise ConfigError(
-            f"{prior.kind!r} prior requires side information of kind {prior.side_kind!r}, got {side_info.kind!r}"
-        )
-    if getattr(prior, "updated", False):
+    prior.side_info.check_given(side_info, prior.kind)
+    if prior.updated:
         raise ConfigError(f"this {prior.kind!r} prior has already been fitted; give each fit a new prior object")
     design = standardize(dataset)
     side_info.check_p(design.p)
-    _check_side_info(prior, side_info)
     state = init_state(design, config)
     converged = False
     for _ in range(config.max_sweeps):

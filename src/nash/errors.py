@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class NashError(Exception):
     """Base class for all package errors."""
@@ -35,6 +37,17 @@ class ParseError(NashError):
         if line is not None:
             loc = f" at line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(message + loc)
+
+
+@contextmanager
+def reading(path: str):
+    """Turn a failure to read ``path`` or to decode it as UTF-8 into a ``ParseError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
 
 
 class ConfigError(NashError):

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ash import PosteriorStats, _responsibilities
-from .data import CSV_ENCODING
+from .ash import GAUSSIAN_MAD, PosteriorStats, _responsibilities
+from .data import CSV_ENCODING, SideInfo
 from .engine import VARIANCE_FLOOR
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseError, QuadratureUnderflowError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, ParseError, QuadratureUnderflowError, reading
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 POSTERIOR_BLOCK = 8192  # nodes per posterior pass: its temporaries stay cached, not freshly mapped
@@ -121,27 +121,22 @@ class Graph:
         return means, isolated
 
 
-def load_graph_edges_csv(path: str, p: int, kind: str = "general") -> Graph:
-    """Read an edge list (two integer columns per row) into a graph on p nodes."""
+def load_graph_edges_csv(path: str, p: int) -> Graph:
+    """Read an edge list (two integer columns per row) into a general graph on p nodes."""
     edges = []
-    try:
-        with open(path, encoding=CSV_ENCODING) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw or raw.startswith("#"):
-                    continue
-                parts = raw.replace(",", " ").split()
-                if len(parts) != 2:
-                    raise ParseError("expected two node indices", line=lineno)
-                try:
-                    edges.append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise ParseError(f"cannot parse edge {raw!r}", line=lineno) from None
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"{path} is not UTF-8 text") from None
-    return Graph.from_edges(p, edges, kind=kind)
+    with reading(path), open(path, encoding=CSV_ENCODING) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw or raw.startswith("#"):
+                continue
+            parts = raw.replace(",", " ").split()
+            if len(parts) != 2:
+                raise ParseError("expected two node indices", line=lineno)
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ParseError(f"cannot parse edge {raw!r}", line=lineno) from None
+    return Graph.from_edges(p, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +413,10 @@ class FusedPrior:
     """
 
     kind = "fused"
-    side_kind = "graph"
 
     def __init__(self, graph: Graph):
         self.graph = graph
+        self.side_info = SideInfo.from_graph(graph)
         self.scales: FusedScales | None = None
         self.b_prev: np.ndarray | None = None
 
@@ -481,7 +476,7 @@ def estimate_noise_sd(image: np.ndarray) -> float:
     if diffs.size == 0:
         raise ConfigError("a 1x1 image has no pixel differences to estimate the noise from; "
                           "pass a noise sd (noise_sd, or --sigma)")
-    return float(np.median(np.abs(diffs)) / (math.sqrt(2.0) * 0.6744897501960817))
+    return float(np.median(np.abs(diffs)) / (math.sqrt(2.0) * GAUSSIAN_MAD))
 
 
 def rmse(a: np.ndarray, b: np.ndarray) -> float:

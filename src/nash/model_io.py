@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import FitResult
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError, reading
 
 FORMAT_VERSION = 1
 
@@ -69,12 +69,8 @@ def save_model(result: FitResult, path: str, columns=None) -> None:
 
 def load_model(path: str) -> ModelFile:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with reading(path), open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed model file: {exc.msg}", line=exc.lineno) from None
     try:

@@ -60,32 +60,21 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam ascent on one flat parameter vector (updated in place, through two scratch vectors)."""
+    """Adam ascent on one flat parameter vector (updated in place)."""
 
     def __init__(self, theta: np.ndarray, lr: float):
         self.lr, self.t = lr, 0
         self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
-        self._step, self._scale = np.empty_like(theta), np.empty_like(theta)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        """theta += lr (m / b1c) / (sqrt(v / b2c) + EPS), each operation in that order."""
         self.t += 1
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
-        step, scale = self._step, self._scale
         self.m *= BETA1
-        self.m += np.multiply(grad, 1.0 - BETA1, out=step)
+        self.m += (1.0 - BETA1) * grad
         self.v *= BETA2
-        np.multiply(grad, 1.0 - BETA2, out=step)
-        step *= grad
-        self.v += step
-        np.divide(self.v, b2c, out=scale)
-        np.sqrt(scale, out=scale)
-        scale += EPS
-        np.divide(self.m, b1c, out=step)
-        step *= self.lr
-        step /= scale
-        theta += step
+        self.v += (1.0 - BETA2) * grad * grad
+        theta += self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + EPS)
 
 
 class _Groups:
@@ -472,13 +461,13 @@ class _NetPrior:
 
     kind: str
     net_type: type[_DenseNet]
-    side_kind = "features"
 
     def __init__(self, D: np.ndarray, n_components: int, hidden: int,
                  train_config: TrainConfig | None):
         if hidden < 0:
             raise ConfigError(f"hidden width must be non-negative, got {hidden}")
-        self.D = SideInfo.from_features(D).D  # a 2-d, finite matrix, as side information must be
+        self.side_info = SideInfo.from_features(D)  # a 2-d, finite matrix with columns
+        self.D = self.side_info.D
         # grouped once per prior; the fitted weights still come from a forward pass over all
         # rows: for some shapes BLAS rounds a product over the few distinct rows differently
         self._groups = _Groups.of(self.D)
@@ -519,12 +508,11 @@ class SoftmaxPrior(_NetPrior):
     net_type = SoftmaxPriorNet
 
     def __init__(self, D: np.ndarray, n_components: int = 20, hidden: int = 0,
-                 train_config: TrainConfig | None = None, grid: MixtureGrid | None = None):
-        if grid is None and n_components < 2:
+                 train_config: TrainConfig | None = None):
+        if n_components < 2:
             raise ConfigError(f"need at least two mixture components, got {n_components}")
-        super().__init__(D, n_components if grid is None else grid.n_components, hidden,
-                         train_config)
-        self.grid = grid
+        super().__init__(D, n_components, hidden, train_config)
+        self.grid: MixtureGrid | None = None
 
     def update(self, beta_bar: np.ndarray, sigma02: float) -> PosteriorStats:
         if self.grid is None:

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, reading
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Read a P2 or P5 grayscale image as floats in [0, 1]."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    with reading(path), open(path, "rb") as fh:
+        raw = fh.read()
     # tokenize the header, skipping '#' comments
     tokens: list[bytes] = []
     pos = 0

@@ -14,12 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ash import AshPrior
+from .ash import GAUSSIAN_MAD, AshPrior
 from .data import Dataset, SideInfo
 from .engine import FitConfig, fit, predict
 from .errors import ConfigError, LengthMismatchError
-
-GAUSSIAN_MAD = 0.6744897501960817  # third quartile of the standard normal
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class SimRow:
     scaled_perf: float
     seconds: float
     train_perf: float
-    pi0: float
 
 
 def _parse_dist(name: str):
@@ -243,15 +240,15 @@ def _replicate_seed(seed: int, experiment: int, setting_index: int, replicate: i
     return int(np.random.SeedSequence([seed, experiment, setting_index, replicate]).generate_state(1)[0])
 
 
-def run_replicate(config: SimulationConfig, fitter, seed: int) -> tuple[float, float, float, float, str]:
-    """One draw-fit-score cycle: (test perf, train perf, pi0, seconds, method)."""
+def run_replicate(config: SimulationConfig, fitter, seed: int) -> tuple[float, float, float, str]:
+    """One draw-fit-score cycle: (test perf, train perf, seconds, method)."""
     X_train, y_train, X_test, y_test, _, sigma2_true = simulate_dataset(config, seed)
     started = time.perf_counter()
     out = fitter(X_train, y_train, X_test, seed)
     seconds = time.perf_counter() - started
     test_perf = scaled_pred_perf(y_test, out["test"], sigma2_true)
     train_perf = scaled_pred_perf(y_train, out["train"], sigma2_true)
-    return test_perf, train_perf, float(out.get("pi0", 0.0)), seconds, out.get("method", "nash")
+    return test_perf, train_perf, seconds, out.get("method", "nash")
 
 
 def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0,
@@ -272,7 +269,7 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
     for si, (label, config) in enumerate(experiment_grid(experiment, base)):
         for rep in range(config.replicates):
             rep_seed = _replicate_seed(seed, experiment, si, rep)
-            test_perf, train_perf, pi0, seconds, method = run_replicate(config, fitter, rep_seed)
+            test_perf, train_perf, seconds, method = run_replicate(config, fitter, rep_seed)
             rows.append(SimRow(
                 experiment=experiment,
                 setting=label,
@@ -282,7 +279,6 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
                 scaled_perf=test_perf,
                 seconds=seconds,
                 train_perf=train_perf,
-                pi0=pi0,
             ))
     return rows
 

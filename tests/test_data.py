@@ -400,6 +400,10 @@ class TestSideInfo:
         np.testing.assert_array_equal(D[:, 1:], [[0, 1], [1, 0], [0, 1]])
         np.testing.assert_allclose(D[:, 0], [1.5, 2.0, 0.5])
 
+    def test_zero_column_features_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="need at least one column"):
+            SideInfo.from_features(np.zeros((4, 0)))
+
     def test_feature_row_count_checked(self):
         side = SideInfo.from_features(np.ones((4, 2)))
         with pytest.raises(DimensionMismatchError):

@@ -39,7 +39,8 @@ class FixedMixturePrior:
     """Mixture prior with frozen weights: the normal-means step is pure posterior."""
 
     kind = "fixed-mixture"
-    side_kind = "none"
+    side_info = SideInfo.none()
+    updated = False  # frozen weights: a second fit starts where the first did
 
     def __init__(self, grid: MixtureGrid, weights: MixtureWeights):
         self.grid = grid
@@ -253,7 +254,8 @@ class TestSweep:
 
             class Recorder:
                 kind = prior.kind
-                side_kind = "none"
+                side_info = SideInfo.none()
+                updated = False
 
                 def update(self, beta_bar, sigma02):
                     nonlocal beta_inputs
@@ -551,6 +553,58 @@ class TestSideInfoMatchesPrior:
         data, config = Dataset(y=y, X=X), FitConfig(max_sweeps=3)
         np.testing.assert_array_equal(fit(data, copied, make(), config).coefficients,
                                       fit(data, side, make(), config).coefficients)
+
+
+class FeaturePrior(FixedMixturePrior):
+    """A user-written prior on features it keeps only in ``side_info``: no ``D`` attribute."""
+
+    def __init__(self, D):
+        super().__init__(MixtureGrid(np.array([0.0, 1.0])), MixtureWeights(np.array([0.5, 0.5])))
+        self.side_info = SideInfo.from_features(D)
+
+
+class TestPriorSideInfo:
+    """Every prior holds its side information as ``side_info``, and ``fit`` checks the given one
+    against it: a user-written prior gets the check a built-in one gets."""
+
+    def test_priors_hold_the_side_info_they_were_built_on(self):
+        priors = {family: make() for family, (make, _) in fresh_priors(8).items()}
+        assert priors["ash"].side_info == SideInfo.none()
+        for family in ("softmax", "mdn"):
+            assert priors[family].side_info.D is priors[family].D
+        assert priors["fused"].side_info.graph is priors["fused"].graph
+
+    @pytest.mark.parametrize("family, held, given", [("ash", "none", "features"), ("softmax", "features", "none"),
+                                                     ("mdn", "features", "graph"), ("fused", "graph", "features")])
+    def test_other_kind_rejected(self, family, held, given):
+        X, y, _ = random_regression(5, n=30, p=8)
+        sides = {"none": SideInfo.none(), "features": SideInfo.from_features(np.ones((8, 1))),
+                 "graph": SideInfo.from_graph(nash.Graph.chain(8))}
+        prior = fresh_priors(8)[family][0]()
+        with pytest.raises(ConfigError, match=f"^'{family}' prior requires side information of kind "
+                                              f"'{held}', got '{given}'$"):
+            fit(Dataset(y=y, X=X), sides[given], prior, FitConfig(max_sweeps=2))
+        assert not prior.updated
+
+    def test_other_features_rejected(self):
+        X, y, _ = random_regression(4, n=30, p=8)
+        prior = FeaturePrior(np.zeros((8, 2)))
+        with pytest.raises(ConfigError, match="side_info's features differ from the ones the 'fixed-mixture'"):
+            fit(Dataset(y=y, X=X), SideInfo.from_features(np.eye(2)[np.arange(8) % 2]), prior,
+                FitConfig(max_sweeps=2))
+
+    def test_other_shape_rejected(self):
+        X, y, _ = random_regression(4, n=30, p=8)
+        expected = r"'fixed-mixture' prior holds features of shape \(8, 2\), side_info of shape \(8, 3\)"
+        with pytest.raises(DimensionMismatchError, match=expected):
+            fit(Dataset(y=y, X=X), SideInfo.from_features(np.ones((8, 3))), FeaturePrior(np.ones((8, 2))),
+                FitConfig(max_sweeps=2))
+
+    def test_own_side_info_accepted(self):
+        X, y, _ = random_regression(4, n=30, p=8)
+        prior = FeaturePrior(np.ones((8, 2)))
+        result = fit(Dataset(y=y, X=X), SideInfo.from_features(np.ones((8, 2))), prior, FitConfig(max_sweeps=2))
+        assert result.sweeps == 2
 
 
 class TestPriorReuse:

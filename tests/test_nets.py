@@ -1004,3 +1004,9 @@ class TestPriorFeatures:
     def test_features_not_a_matrix_rejected(self, prior_cls, shape, rng):
         with pytest.raises(DimensionMismatchError, match="must form a 2-d matrix"):
             prior_cls(rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("prior_cls", [SoftmaxPrior, MdnPrior])
+    def test_zero_column_features_rejected(self, prior_cls):
+        # a network without inputs would draw its first weights with sd 1/sqrt(0)
+        with pytest.raises(DimensionMismatchError, match="need at least one column"):
+            prior_cls(np.zeros((6, 0)))
