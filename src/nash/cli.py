@@ -78,19 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
                                       "'chain', 'grid:HxW', an edge-list file")
     p_fit.add_argument("--prior", choices=("ash", "softmax", "mdn", "fused"), default="ash")
     p_fit.add_argument("--out", required=True, help="output model JSON")
-    p_fit.add_argument("--seed", type=int, default=0,
+    p_fit.add_argument("--seed", type=int,
                        help="seed for network-prior (softmax, mdn) training; ash and fused fits "
                             "are deterministic without it")
-    p_fit.add_argument("--max-sweeps", type=int, default=200)
-    p_fit.add_argument("--elbo-tol", type=float, default=1e-6)
-    p_fit.add_argument("--grid-size", type=int, default=20,
-                       help="mixture components for ash/softmax priors")
-    p_fit.add_argument("--hidden", type=int, default=None,
-                       help="hidden units for network priors (default: softmax 0, mdn 16)")
-    p_fit.add_argument("--mdn-components", type=int, default=5)
-    p_fit.add_argument("--steps", type=int, default=500, help="network steps on the first sweep")
-    p_fit.add_argument("--later-steps", type=int, default=50)
-    p_fit.add_argument("--learning-rate", type=float, default=1e-3)
+    p_fit.add_argument("--max-sweeps", type=int)
+    p_fit.add_argument("--elbo-tol", type=float)
+    p_fit.add_argument("--grid-size", type=int, help="mixture components for ash/softmax priors")
+    p_fit.add_argument("--hidden", type=int, help="hidden units for network priors")
+    p_fit.add_argument("--mdn-components", type=int)
+    p_fit.add_argument("--steps", type=int, help="network steps on the first sweep")
+    p_fit.add_argument("--later-steps", type=int)
+    p_fit.add_argument("--learning-rate", type=float)
     p_fit.add_argument("--drop-constant", action="store_true",
                        help="drop zero-variance columns instead of failing")
 
@@ -102,35 +100,49 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one of the canned experiments")
     p_sim.add_argument("--experiment", type=int, required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--replicates", type=int, default=None)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--p", type=int, default=None)
-    p_sim.add_argument("--s", type=int, default=None)
-    p_sim.add_argument("--pve", type=float, default=None)
-    p_sim.add_argument("--rho", type=float, default=None)
-    p_sim.add_argument("--coef-dist", default=None)
-    p_sim.add_argument("--noise-dist", default=None)
-    p_sim.add_argument("--grid-size", type=int, default=20)
-    p_sim.add_argument("--max-sweeps", type=int, default=200)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--replicates", type=int)
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--p", type=int)
+    p_sim.add_argument("--s", type=int)
+    p_sim.add_argument("--pve", type=float)
+    p_sim.add_argument("--rho", type=float)
+    p_sim.add_argument("--coef-dist")
+    p_sim.add_argument("--noise-dist")
+    p_sim.add_argument("--grid-size", type=int)
+    p_sim.add_argument("--max-sweeps", type=int)
     p_sim.add_argument("--timing", action="store_true",
                        help="record wall time in the CSV (output no longer reproducible)")
-    p_sim.add_argument("--threads", type=int, default=None,
+    p_sim.add_argument("--threads", type=int,
                        help="ignored: replicates run one after another")
 
     p_den = sub.add_parser("denoise", help="denoise a grayscale PGM image")
     p_den.add_argument("--image", required=True)
     p_den.add_argument("--out", required=True)
     p_den.add_argument("--truth", help="clean image for RMSE reporting")
-    p_den.add_argument("--sigma", type=float, default=None, help="noise standard deviation")
-    p_den.add_argument("--sweeps", type=int, default=30)
-    p_den.add_argument("--s1", type=float, default=0.45)
-    p_den.add_argument("--s2", type=float, default=0.15)
+    p_den.add_argument("--sigma", type=float, help="noise standard deviation")
+    p_den.add_argument("--sweeps", type=int)
+    # FusedScales takes both scales at once, so each flag defaults to the library's own value
+    p_den.add_argument("--s1", type=float, default=DenoiseConfig.scales.s1)
+    p_den.add_argument("--s2", type=float, default=DenoiseConfig.scales.s2)
 
     return parser
 
 
-def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
+# options whose keyword argument in the library has another name
+_KEYWORDS = {"grid_size": "n_components", "mdn_components": "n_components"}
+
+
+def _given(args, *names: str) -> dict:
+    """The options ``names`` that the user set, as keyword arguments for the library.
+
+    An option left unset is ``None`` and is left out, so the library's default applies.
+    """
+    values = {name: getattr(args, name) for name in names}
+    return {_KEYWORDS.get(name, name): value for name, value in values.items() if value is not None}
+
+
+def _build_prior(args, p: int, kept: np.ndarray | None):
     """The prior and the side information it holds for a design with ``p`` original columns.
 
     Side information always describes the original columns.  When
@@ -138,14 +150,12 @@ def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
     for those columns alone and graphs are built on all ``p`` columns, then
     restricted to the kept ones, so no edge links across a dropped column.
     """
-    train_config = TrainConfig(
-        learning_rate=args.learning_rate,
-        steps=args.steps,
-        later_steps=args.later_steps,
-        seed=seed,
-    )
+    train_config = TrainConfig(**_given(args, "learning_rate", "steps", "later_steps", "seed"))
     if args.prior == "ash":
-        prior = AshPrior(n_components=args.grid_size)
+        if args.side:
+            raise ConfigError("ash prior takes no side information; drop --side or choose "
+                              "--prior softmax, mdn or fused")
+        prior = AshPrior(**_given(args, "grid_size"))
         return prior, prior.side_info
     if args.prior in ("softmax", "mdn"):
         if not args.side:
@@ -154,13 +164,10 @@ def _build_prior(args, p: int, kept: np.ndarray | None, seed: int):
         SideInfo.from_features(D).check_p(p)
         if kept is not None:
             D = D[kept]
-        net_args = {"train_config": train_config}
-        if args.hidden is not None:
-            net_args["hidden"] = args.hidden
         if args.prior == "softmax":
-            prior = SoftmaxPrior(D, n_components=args.grid_size, **net_args)
+            prior = SoftmaxPrior(D, train_config=train_config, **_given(args, "grid_size", "hidden"))
         else:
-            prior = MdnPrior(D, n_components=args.mdn_components, **net_args)
+            prior = MdnPrior(D, train_config=train_config, **_given(args, "mdn_components", "hidden"))
         return prior, prior.side_info
     if not args.side:
         raise ConfigError("fused prior requires a graph (--side chain | grid:HxW | edge file)")
@@ -195,9 +202,8 @@ def cmd_fit(args) -> int:
             print(f"warning: dropped {p - kept.size} constant column(s)", file=sys.stderr)
             columns = kept
         dataset = reduced
-    prior, side = _build_prior(args, p, columns, args.seed)
-    config = FitConfig(max_sweeps=args.max_sweeps, elbo_tol=args.elbo_tol)
-    result = fit(dataset, side, prior, config)
+    prior, side = _build_prior(args, p, columns)
+    result = fit(dataset, side, prior, FitConfig(**_given(args, "max_sweeps", "elbo_tol")))
     save_model(result, args.out, columns=columns)
     print(
         f"final_elbo={result.elbo_trace[-1]!r} sweeps={result.sweeps} "
@@ -218,17 +224,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    overrides = {}
-    for key in ("replicates", "n", "p", "s", "pve", "rho"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.coef_dist is not None:
-        overrides["coef_dist"] = args.coef_dist
-    if args.noise_dist is not None:
-        overrides["noise_dist"] = args.noise_dist
-    fitter = ash_fitter(n_components=args.grid_size, max_sweeps=args.max_sweeps)
-    rows = run_experiment(args.experiment, overrides=overrides, seed=args.seed, fitter=fitter)
+    overrides = _given(args, "replicates", "n", "p", "s", "pve", "rho", "coef_dist", "noise_dist")
+    fitter = ash_fitter(**_given(args, "grid_size", "max_sweeps"))
+    rows = run_experiment(args.experiment, overrides=overrides, fitter=fitter, **_given(args, "seed"))
     write_results_csv(rows, args.out, timing=args.timing)
     mean_perf = float(np.mean([row.scaled_perf for row in rows]))
     print(f"rows={len(rows)} mean_scaled_perf={mean_perf!r}")
@@ -241,11 +239,8 @@ def cmd_denoise(args) -> int:
     truth = read_pgm(args.truth) if args.truth else None
     if truth is not None and truth.shape != noisy.shape:
         raise DimensionMismatchError(f"truth shape {truth.shape} differs from image {noisy.shape}")
-    config = DenoiseConfig(
-        sweeps=args.sweeps,
-        scales=FusedScales(args.s1, args.s2),
-        noise_sd=args.sigma,
-    )
+    config = DenoiseConfig(scales=FusedScales(args.s1, args.s2), noise_sd=args.sigma,
+                           **_given(args, "sweeps"))
     denoised = denoise_image(noisy, config)
     write_pgm(args.out, denoised)
     if truth is not None:

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.steps < 1 or self.later_steps < 1:
             raise ConfigError("training steps must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class Adam:

@@ -60,7 +60,6 @@ class SimRow:
     method: str
     scaled_perf: float
     seconds: float
-    train_perf: float
 
 
 def _parse_dist(name: str):
@@ -197,7 +196,6 @@ def ash_fitter(n_components: int = 20, max_sweeps: int = 200):
         )
         return {
             "test": predict(result, X_test),
-            "train": result.fitted_values,
             "pi0": result.prior_null_mass,
             "method": "nash-ash",
         }
@@ -225,7 +223,7 @@ def experiment_grid(experiment: int, base: SimulationConfig) -> list[tuple[str, 
         return [(f"coef={d}", replace(base, coef_dist=d)) for d in ("gaussian", "laplace", "t(4)")]
     if experiment == 5:
         return [
-            (f"p={p}", replace(base, p=p, s=min(20, p), n=500))
+            (f"p={p}", replace(base, p=p, s=min(base.s, p)))
             for p in (20, 200, 2000)
         ]
     if experiment == 6:
@@ -240,15 +238,13 @@ def _replicate_seed(seed: int, experiment: int, setting_index: int, replicate: i
     return int(np.random.SeedSequence([seed, experiment, setting_index, replicate]).generate_state(1)[0])
 
 
-def run_replicate(config: SimulationConfig, fitter, seed: int) -> tuple[float, float, float, str]:
-    """One draw-fit-score cycle: (test perf, train perf, seconds, method)."""
+def run_replicate(config: SimulationConfig, fitter, seed: int) -> tuple[float, float, str]:
+    """One draw-fit-score cycle: (test perf, seconds, method)."""
     X_train, y_train, X_test, y_test, _, sigma2_true = simulate_dataset(config, seed)
     started = time.perf_counter()
     out = fitter(X_train, y_train, X_test, seed)
     seconds = time.perf_counter() - started
-    test_perf = scaled_pred_perf(y_test, out["test"], sigma2_true)
-    train_perf = scaled_pred_perf(y_train, out["train"], sigma2_true)
-    return test_perf, train_perf, seconds, out.get("method", "nash")
+    return scaled_pred_perf(y_test, out["test"], sigma2_true), seconds, out.get("method", "nash")
 
 
 def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0,
@@ -258,6 +254,8 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
     Replicates carry independent derived seeds; rows come back in
     (setting, replicate) order.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     overrides = dict(overrides or {})
     if "s" not in overrides and "p" in overrides:
         # keep the default sparsity level feasible under a smaller dimension
@@ -269,7 +267,7 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
     for si, (label, config) in enumerate(experiment_grid(experiment, base)):
         for rep in range(config.replicates):
             rep_seed = _replicate_seed(seed, experiment, si, rep)
-            test_perf, train_perf, seconds, method = run_replicate(config, fitter, rep_seed)
+            test_perf, seconds, method = run_replicate(config, fitter, rep_seed)
             rows.append(SimRow(
                 experiment=experiment,
                 setting=label,
@@ -278,7 +276,6 @@ def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0
                 method=method,
                 scaled_perf=test_perf,
                 seconds=seconds,
-                train_perf=train_perf,
             ))
     return rows
 

@@ -10,6 +10,7 @@ from nash.ash import AshPrior
 from nash.cli import _build_prior, build_parser, main
 from nash.data import Dataset, SideInfo
 from nash.engine import FitConfig, fit
+from nash.fused import DenoiseConfig, FusedScales
 from nash.pgm import read_pgm, write_pgm
 
 
@@ -130,7 +131,7 @@ class TestFitCommand:
     def test_dropped_column_cuts_the_graph(self):
         args = build_parser().parse_args(["fit", "--x", "x.csv", "--y", "y.csv", "--out", "m.json",
                                           "--prior", "fused", "--side", "chain"])
-        _, side = _build_prior(args, 6, np.array([0, 1, 3, 4, 5]), 0)
+        _, side = _build_prior(args, 6, np.array([0, 1, 3, 4, 5]))
         assert side.graph.kind == "chain"
         assert side.graph.src.tolist() == [0, 1, 2, 3, 3, 4]
         assert side.graph.dst.tolist() == [1, 0, 3, 2, 4, 3]
@@ -180,8 +181,8 @@ class TestFitCommand:
     @pytest.mark.parametrize("flags", [["--prior", "softmax", "--learning-rate", "nan"],
                                        ["--prior", "softmax", "--learning-rate", "inf"],
                                        ["--prior", "mdn", "--learning-rate", "0"],
-                                       ["--elbo-tol", "nan"],
-                                       ["--elbo-tol", "inf"]])
+                                       ["--prior", "softmax", "--elbo-tol", "nan"],
+                                       ["--prior", "softmax", "--elbo-tol", "inf"]])
     def test_non_finite_hyperparameter_is_single_line_error(self, regression_files, tmp_path, capsys,
                                                             flags):
         _, _, x_path, y_path = regression_files
@@ -192,7 +193,31 @@ class TestFitCommand:
                     + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert flags[-2][2:].replace("-", "_") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("prior", ["ash", "softmax", "mdn", "fused"])
+    def test_negative_seed_is_single_line_error(self, regression_files, tmp_path, capsys, prior):
+        _, _, x_path, y_path = regression_files
+        side = tmp_path / "side.csv"
+        side.write_text("a\na\nb\nb\nb\n")
+        flags = {"ash": [], "fused": ["--side", "chain"]}.get(prior, ["--side", str(side)])
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--prior", prior, *flags, "--seed", "-1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "seed must be non-negative" in err and not out.exists()
+
+    def test_ash_prior_rejects_side_information(self, regression_files, tmp_path, capsys):
+        _, _, x_path, y_path = regression_files
+        side = tmp_path / "side.csv"
+        side.write_text("a\na\nb\nb\nb\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--x", x_path, "--y", y_path, "--side", str(side), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "ash prior takes no side information" in err and not out.exists()
 
     def test_side_rows_checked_against_original_columns(self, constant_column_files, tmp_path, capsys):
         side = tmp_path / "side.csv"
@@ -297,6 +322,14 @@ class TestSimulateCommand:
         assert outputs[0] == outputs[1]
         lines = outputs[0].decode().splitlines()
         assert len(lines) == 1 + 6  # header + six signal fractions x one replicate
+
+    def test_negative_seed_is_single_line_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--experiment", "3", "--replicates", "1", "--n", "30",
+                     "--p", "5", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "seed must be non-negative" in err and not out.exists()
 
     def test_unknown_experiment_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--experiment", "9", "--out", str(tmp_path / "r.csv")]) == 2
@@ -489,6 +522,32 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestDefaults:
+    """The library owns every default: an option the user leaves unset parses to None."""
+
+    TUNING = {
+        "fit": ("seed", "max_sweeps", "elbo_tol", "grid_size", "mdn_components", "steps",
+                "later_steps", "learning_rate"),
+        "simulate": ("seed", "grid_size", "max_sweeps"),
+        "denoise": ("sweeps",),
+    }
+    REQUIRED = {
+        "fit": ["--x", "x.csv", "--y", "y.csv", "--out", "m.json"],
+        "simulate": ["--experiment", "1", "--out", "r.csv"],
+        "denoise": ["--image", "in.pgm", "--out", "out.pgm"],
+    }
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "denoise"])
+    def test_unset_tuning_options_are_none(self, command):
+        args = build_parser().parse_args([command, *self.REQUIRED[command]])
+        assert {name: getattr(args, name) for name in self.TUNING[command]} == \
+               dict.fromkeys(self.TUNING[command])
+
+    def test_denoise_scales_are_the_library_defaults(self):
+        args = build_parser().parse_args(["denoise", *self.REQUIRED["denoise"]])
+        assert FusedScales(args.s1, args.s2) == DenoiseConfig.scales
 
 
 class TestTimedSmoke:

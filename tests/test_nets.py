@@ -497,6 +497,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**{field: 0})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
+
     def test_fewer_than_two_softmax_components_rejected(self, rng):
         with pytest.raises(ConfigError):
             SoftmaxPrior(rng.standard_normal((5, 2)), n_components=1)

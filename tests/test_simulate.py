@@ -33,7 +33,6 @@ def mean_fitter():
         mean = float(y_train.mean())
         return {
             "test": np.full(X_test.shape[0], mean),
-            "train": np.full(X_train.shape[0], mean),
             "pi0": 1.0,
             "method": "mean",
         }
@@ -215,6 +214,10 @@ class TestExperimentGrids:
         grid = experiment_grid(5, SimulationConfig())
         assert [(c.p, c.s, c.n) for _, c in grid] == [(20, 20, 500), (200, 20, 500), (2000, 20, 500)]
 
+    def test_experiment_five_keeps_sample_size_and_sparsity(self):
+        grid = experiment_grid(5, SimulationConfig(n=20, s=3))
+        assert [(c.p, c.s, c.n) for _, c in grid] == [(20, 3, 20), (200, 3, 20), (2000, 3, 20)]
+
     def test_experiment_three_includes_null(self):
         grid = experiment_grid(3, SimulationConfig())
         assert grid[0][1].pve == 0.0
@@ -240,8 +243,7 @@ class TestRunExperiment:
         kwargs = dict(overrides={"n": 25, "p": 4, "replicates": 3}, seed=5, fitter=mean_fitter())
         a = run_experiment(3, **kwargs)
         b = run_experiment(3, **kwargs)
-        assert [(r.seed, r.scaled_perf, r.train_perf) for r in a] == \
-               [(r.seed, r.scaled_perf, r.train_perf) for r in b]
+        assert [(r.seed, r.scaled_perf) for r in a] == [(r.seed, r.scaled_perf) for r in b]
 
     def test_csv_layout_and_default_determinism(self, tmp_path):
         rows = run_experiment(3, overrides={"n": 25, "p": 4, "replicates": 2},
@@ -271,3 +273,7 @@ class TestConfigValidation:
             SimulationConfig(replicates=replicates)
         with pytest.raises(ConfigError):
             run_experiment(3, overrides={"replicates": replicates}, fitter=mean_fitter())
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            run_experiment(3, overrides={"n": 25, "p": 4, "replicates": 1}, seed=-1, fitter=mean_fitter())
