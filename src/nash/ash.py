@@ -18,6 +18,7 @@ from .errors import ConfigError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 GAUSSIAN_MAD = 0.6744897501960817  # third quartile of the standard normal
+N_COMPONENTS = 20  # default size of the variance grid, point mass included
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class PosteriorStats:
     log_marginal: np.ndarray
 
 
-def default_grid(beta_bar: np.ndarray, sigma02: float, n_components: int = 20) -> MixtureGrid:
+def default_grid(beta_bar: np.ndarray, sigma02: float, n_components: int) -> MixtureGrid:
     """Build the default variance grid: zero plus a geometric ladder.
 
     The ladder runs from sigma02/100 up to max(4*(max beta^2 - sigma02), sigma02),
@@ -227,7 +228,7 @@ class AshPrior:
     kind = "ash"
     side_info = SideInfo.none()
 
-    def __init__(self, n_components: int = 20, grid: MixtureGrid | None = None):
+    def __init__(self, n_components: int = N_COMPONENTS, grid: MixtureGrid | None = None):
         if grid is None and n_components < 2:
             raise ConfigError(f"need at least two mixture components, got {n_components}")
         self.n_components = n_components if grid is None else grid.n_components

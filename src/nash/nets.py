@@ -24,6 +24,7 @@ import numpy as np
 
 from .ash import (
     LOG_2PI,
+    N_COMPONENTS,
     MixtureGrid,
     PosteriorStats,
     _responsibilities,
@@ -509,7 +510,7 @@ class SoftmaxPrior(_NetPrior):
     kind = "softmax"
     net_type = SoftmaxPriorNet
 
-    def __init__(self, D: np.ndarray, n_components: int = 20, hidden: int = 0,
+    def __init__(self, D: np.ndarray, n_components: int = N_COMPONENTS, hidden: int = 0,
                  train_config: TrainConfig | None = None):
         if n_components < 2:
             raise ConfigError(f"need at least two mixture components, got {n_components}")

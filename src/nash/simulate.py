@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ash import GAUSSIAN_MAD, AshPrior
+from .ash import GAUSSIAN_MAD, N_COMPONENTS, AshPrior
 from .data import Dataset, SideInfo
 from .engine import FitConfig, fit, predict
 from .errors import ConfigError, LengthMismatchError
@@ -184,7 +184,7 @@ def simulate_dataset(config: SimulationConfig, seed):
     return X[:n], y[:n], X[n:], y[n:], b, sigma2_true
 
 
-def ash_fitter(n_components: int = 20, max_sweeps: int = 200):
+def ash_fitter(n_components: int = N_COMPONENTS, max_sweeps: int = FitConfig.max_sweeps):
     """Default benchmark method: the engine with the shared mixture prior (deterministic, seed unused)."""
 
     def run(X_train, y_train, X_test, seed: int) -> dict:
@@ -203,80 +203,76 @@ def ash_fitter(n_components: int = 20, max_sweeps: int = 200):
     return run
 
 
-EXPERIMENT_DEFAULTS = SimulationConfig()
+# experiment id -> (the SimulationConfig field it varies, its label in the
+# `setting` column, its values or a function of the base dimension giving them)
+EXPERIMENTS = {
+    1: ("s", "s", lambda p: [max(1, s) for s in (1, p // 100, p // 10, p // 2, p)]),
+    2: ("n", "n", (200, 500, 2000)),
+    3: ("pve", "pve", (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)),
+    4: ("coef_dist", "coef", ("gaussian", "laplace", "t(4)")),
+    5: ("p", "p", (20, 200, 2000)),
+    6: ("noise_dist", "noise", ("gaussian", "uniform", "laplace", "t(1)", "t(2)", "t(4)", "t(8)")),
+    7: ("rho", "rho", (0.0, 0.5, 0.9, 0.95, 0.99)),
+}
+
+
+def _experiment(experiment: int) -> tuple:
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment}; valid ids are 1..{len(EXPERIMENTS)}")
+    return EXPERIMENTS[experiment]
 
 
 def experiment_grid(experiment: int, base: SimulationConfig) -> list[tuple[str, SimulationConfig]]:
-    """Setting list for one experiment: (label, config) pairs."""
-    if experiment == 1:
-        values = []
-        for s in (1, base.p // 100, base.p // 10, base.p // 2, base.p):
-            s = max(1, min(s, base.p))
-            if s not in values:
-                values.append(s)
-        return [(f"s={s}", replace(base, s=s)) for s in values]
-    if experiment == 2:
-        return [(f"n={n}", replace(base, n=n)) for n in (200, 500, 2000)]
-    if experiment == 3:
-        return [(f"pve={v}", replace(base, pve=v)) for v in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)]
-    if experiment == 4:
-        return [(f"coef={d}", replace(base, coef_dist=d)) for d in ("gaussian", "laplace", "t(4)")]
-    if experiment == 5:
-        return [
-            (f"p={p}", replace(base, p=p, s=min(base.s, p)))
-            for p in (20, 200, 2000)
-        ]
-    if experiment == 6:
-        dists = ("gaussian", "uniform", "laplace", "t(1)", "t(2)", "t(4)", "t(8)")
-        return [(f"noise={d}", replace(base, noise_dist=d)) for d in dists]
-    if experiment == 7:
-        return [(f"rho={r}", replace(base, rho=r)) for r in (0.0, 0.5, 0.9, 0.95, 0.99)]
-    raise ConfigError(f"unknown experiment {experiment}; valid ids are 1..7")
+    """Setting list for one experiment: (label, config) pairs, each value once, s capped at each p."""
+    field, label, values = _experiment(experiment)
+    if callable(values):
+        values = values(base.p)
+    grid = []
+    for value in dict.fromkeys(values):
+        fields = {"p": base.p, "s": base.s, field: value}
+        fields["s"] = min(fields["s"], fields["p"])
+        grid.append((f"{label}={value}", replace(base, **fields)))
+    return grid
 
 
 def _replicate_seed(seed: int, experiment: int, setting_index: int, replicate: int) -> int:
     return int(np.random.SeedSequence([seed, experiment, setting_index, replicate]).generate_state(1)[0])
 
 
-def run_replicate(config: SimulationConfig, fitter, seed: int) -> tuple[float, float, str]:
-    """One draw-fit-score cycle: (test perf, seconds, method)."""
+def run_replicate(experiment: int, setting: str, replicate: int, config: SimulationConfig,
+                  fitter, seed: int) -> SimRow:
+    """One draw-fit-score cycle, as its result row."""
     X_train, y_train, X_test, y_test, _, sigma2_true = simulate_dataset(config, seed)
     started = time.perf_counter()
     out = fitter(X_train, y_train, X_test, seed)
     seconds = time.perf_counter() - started
-    return scaled_pred_perf(y_test, out["test"], sigma2_true), seconds, out.get("method", "nash")
+    return SimRow(experiment, setting, replicate, seed, out.get("method", "nash"),
+                  scaled_pred_perf(y_test, out["test"], sigma2_true), seconds)
 
 
 def run_experiment(experiment: int, overrides: dict | None = None, seed: int = 0,
                    fitter=None) -> list[SimRow]:
     """Run every setting of one experiment for the configured replicate count.
 
-    Replicates carry independent derived seeds; rows come back in
+    The experiment sets the field it varies, so an override of that field is
+    dropped.  Replicates carry independent derived seeds; rows come back in
     (setting, replicate) order.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    overrides = dict(overrides or {})
+    field, _, _ = _experiment(experiment)
+    overrides = {name: value for name, value in (overrides or {}).items() if name != field}
     if "s" not in overrides and "p" in overrides:
         # keep the default sparsity level feasible under a smaller dimension
-        overrides["s"] = min(EXPERIMENT_DEFAULTS.s, overrides["p"])
-    base = replace(EXPERIMENT_DEFAULTS, **overrides)
+        overrides["s"] = min(SimulationConfig.s, overrides["p"])
+    base = SimulationConfig(**overrides)
     if fitter is None:
         fitter = ash_fitter()
     rows = []
     for si, (label, config) in enumerate(experiment_grid(experiment, base)):
         for rep in range(config.replicates):
-            rep_seed = _replicate_seed(seed, experiment, si, rep)
-            test_perf, seconds, method = run_replicate(config, fitter, rep_seed)
-            rows.append(SimRow(
-                experiment=experiment,
-                setting=label,
-                replicate=rep,
-                seed=rep_seed,
-                method=method,
-                scaled_perf=test_perf,
-                seconds=seconds,
-            ))
+            rows.append(run_replicate(experiment, label, rep, config, fitter,
+                                      _replicate_seed(seed, experiment, si, rep)))
     return rows
 
 

@@ -353,6 +353,19 @@ class TestSimulateCommand:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--experiment", "5", "--n", "40"], ["--p", "10"]),
+        (["--experiment", "3", "--n", "40", "--p", "30"], ["--pve", "1.5"]),
+        (["--experiment", "2", "--p", "30"], ["--n", "1"]),
+    ])
+    def test_override_of_the_varied_field_is_ignored(self, tmp_path, args, flag):
+        # the experiment sets the field it varies: the flag changes no row, even out of range
+        common = ["simulate", *args, "--replicates", "1", "--max-sweeps", "2", "--seed", "2"]
+        plain, overridden = tmp_path / "plain.csv", tmp_path / "overridden.csv"
+        assert main([*common, "--out", str(plain)]) == 0
+        assert main([*common, *flag, "--out", str(overridden)]) == 0
+        assert overridden.read_bytes() == plain.read_bytes()
+
     def test_grid_size_below_two_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert main(["simulate", "--experiment", "3", "--replicates", "1", "--n", "30",

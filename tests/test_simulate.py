@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nash.cli import main
 from nash.errors import ConfigError, LengthMismatchError
 from nash.simulate import (
     GAUSSIAN_MAD,
+    SimRow,
     SimulationConfig,
     _noise,
     experiment_grid,
@@ -20,6 +22,7 @@ from nash.simulate import (
     gen_design,
     gen_response,
     run_experiment,
+    run_replicate,
     scaled_pred_perf,
     simulate_dataset,
     write_results_csv,
@@ -204,7 +207,44 @@ class TestScaledPredPerf:
             scaled_pred_perf(np.zeros(3), np.zeros(4), 1.0)
 
 
+def parent_experiment_grid(experiment: int, base: SimulationConfig) -> list[tuple[str, SimulationConfig]]:
+    """The per-experiment branches that the table in ``nash.simulate`` replaced, kept as a reference."""
+    if experiment == 1:
+        values = []
+        for s in (1, base.p // 100, base.p // 10, base.p // 2, base.p):
+            s = max(1, min(s, base.p))
+            if s not in values:
+                values.append(s)
+        return [(f"s={s}", replace(base, s=s)) for s in values]
+    if experiment == 2:
+        return [(f"n={n}", replace(base, n=n)) for n in (200, 500, 2000)]
+    if experiment == 3:
+        return [(f"pve={v}", replace(base, pve=v)) for v in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)]
+    if experiment == 4:
+        return [(f"coef={d}", replace(base, coef_dist=d)) for d in ("gaussian", "laplace", "t(4)")]
+    if experiment == 5:
+        return [
+            (f"p={p}", replace(base, p=p, s=min(base.s, p)))
+            for p in (20, 200, 2000)
+        ]
+    if experiment == 6:
+        dists = ("gaussian", "uniform", "laplace", "t(1)", "t(2)", "t(4)", "t(8)")
+        return [(f"noise={d}", replace(base, noise_dist=d)) for d in dists]
+    if experiment == 7:
+        return [(f"rho={r}", replace(base, rho=r)) for r in (0.0, 0.5, 0.9, 0.95, 0.99)]
+    raise ConfigError(f"unknown experiment {experiment}; valid ids are 1..7")
+
+
+GRID_BASES = [SimulationConfig(n=n, p=p, s=s)
+              for p in (1, 5, 30, 150, 1000) for s in (0, 3, 20) if s <= p for n in (20, 500)]
+
+
 class TestExperimentGrids:
+    @pytest.mark.parametrize("experiment", range(1, 8))
+    def test_table_matches_the_per_experiment_branches(self, experiment):
+        for base in GRID_BASES:
+            assert experiment_grid(experiment, base) == parent_experiment_grid(experiment, base)
+
     def test_experiment_one_sparsity_ladder(self):
         grid = experiment_grid(1, SimulationConfig(p=1000))
         labels = [label for label, _ in grid]
@@ -223,11 +263,31 @@ class TestExperimentGrids:
         assert grid[0][1].pve == 0.0
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(ConfigError):
-            experiment_grid(9, SimulationConfig())
+        for experiment in (0, 8, 9, -1):
+            with pytest.raises(ConfigError, match="unknown experiment"):
+                experiment_grid(experiment, SimulationConfig())
+            with pytest.raises(ConfigError, match="unknown experiment"):
+                run_experiment(experiment, fitter=mean_fitter())
 
 
 class TestRunExperiment:
+    def test_replicate_is_one_row(self):
+        config = SimulationConfig(n=25, p=4, s=2)
+        row = run_replicate(3, "pve=0.5", 1, config, mean_fitter(), 7)
+        assert isinstance(row, SimRow)
+        assert (row.experiment, row.setting, row.replicate, row.seed, row.method) == (3, "pve=0.5", 1, 7, "mean")
+        X_tr, y_tr, _, y_te, _, sigma2_true = simulate_dataset(config, 7)
+        assert row.scaled_perf == scaled_pred_perf(y_te, np.full(y_te.size, y_tr.mean()), sigma2_true)
+
+    @pytest.mark.parametrize("experiment, override", [(1, {"s": 50}), (2, {"n": 1}), (3, {"pve": 1.5}),
+                                                      (5, {"p": 10}), (7, {"rho": 1.0})])
+    def test_override_of_the_varied_field_is_dropped(self, experiment, override):
+        common = {"n": 30, "p": 8, "replicates": 1}
+        runs = [run_experiment(experiment, overrides=overrides, seed=4, fitter=mean_fitter())
+                for overrides in (common, {**common, **override})]
+        plain, overridden = ([(r.setting, r.seed, r.scaled_perf) for r in rows] for rows in runs)
+        assert overridden == plain
+
     def test_row_count_is_settings_times_replicates(self):
         rows = run_experiment(3, overrides={"n": 30, "p": 5, "replicates": 2},
                               seed=0, fitter=mean_fitter())
