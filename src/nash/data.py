@@ -58,7 +58,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class StandardizedDesign:
-    """Centered/scaled design: every column of ``Xs`` has mean 0 and squared norm n-1."""
+    """Centered/scaled design: every column of ``Xs`` has mean 0 and squared norm n-1.
+
+    This is the column form: the engine's coordinate pass keeps the residual
+    r = ys - Xs beta and reads each x_j^T r off a column of ``Xs``.
+    """
 
     Xs: np.ndarray
     ys: np.ndarray
@@ -73,6 +77,75 @@ class StandardizedDesign:
     @property
     def p(self) -> int:
         return self.Xs.shape[1]
+
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        """The vector the coordinate pass keeps, at ``beta``: r = ys - Xs beta."""
+        return self.ys - self.Xs @ beta
+
+    def rss(self, beta: np.ndarray, r: np.ndarray) -> float:
+        """Residual sum of squares at ``beta``, whose kept residual is ``r``."""
+        return float(r @ r)
+
+    def fitted(self, beta: np.ndarray) -> np.ndarray:
+        """Fitted values in raw units at ``beta``."""
+        return self.y_mean + self.Xs @ beta
+
+
+# below this share of ys^T ys the quadratic-form RSS has cancelled too far:
+# its rounding error is about 4e-16 ys^T ys, so here it still keeps about 12 digits
+RSS_RECOMPUTE_FRACTION = 1e-3
+
+
+@dataclass(frozen=True)
+class GramDesign:
+    """The standardized design in its Gram form, for n >= p: G = Xs^T Xs, Xs^T ys and ys^T ys.
+
+    The coordinate pass keeps z = Xs^T r in place of r, so each coordinate
+    costs O(p), not O(n).  ``X`` is the raw design, not a copy; the n x p
+    ``Xs`` is never made.
+    """
+
+    X: np.ndarray
+    ys: np.ndarray
+    y_mean: float
+    col_means: np.ndarray
+    col_scales: np.ndarray
+    G: np.ndarray
+    Xty: np.ndarray
+    yty: float
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
+
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        """The vector the coordinate pass keeps, at ``beta``: z = Xs^T ys - G beta."""
+        return self.Xty - self.G @ beta
+
+    def rss(self, beta: np.ndarray, z: np.ndarray) -> float:
+        """Residual sum of squares at ``beta``: ys^T ys - 2 beta^T Xs^T ys + beta^T G beta.
+
+        Where that falls below ``RSS_RECOMPUTE_FRACTION`` of ys^T ys (a response
+        the fit explains almost wholly) it is summed from the residual made from
+        row blocks of the raw X instead.  A negative value always falls below,
+        so the result is never negative.
+        """
+        rss = self.yty - 2.0 * float(beta @ self.Xty) + float(beta @ (self.G @ beta))
+        if rss < RSS_RECOMPUTE_FRACTION * self.yty:
+            rss = 0.0
+            for rows, block in _standardized_blocks(self.X, self.col_means, self.col_scales):
+                r = self.ys[rows] - block @ beta
+                rss += float(r @ r)
+        return rss
+
+    def fitted(self, beta: np.ndarray) -> np.ndarray:
+        """Fitted values in raw units at ``beta``: X @ coefficients + intercept."""
+        coefficients, intercept = unstandardize(beta, self)
+        return self.X @ coefficients + intercept
 
 
 @dataclass(frozen=True)
@@ -133,30 +206,87 @@ class SideInfo:
             )
 
 
-def standardize(dataset: Dataset) -> StandardizedDesign:
+# rows or columns per block of the statistics passes: about 8 MB of doubles
+BLOCK_ELEMENTS = 2**20
+
+
+def constant_columns(X: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose entries are all equal, found exactly as max == min.
+
+    A sample standard deviation cannot tell: a column of 0.1 has one of about
+    2e-16 at n=100, because its mean rounds.
+    """
+    return X.max(axis=0) == X.min(axis=0)
+
+
+def _column_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sample standard deviations, without the n x p temporary of ``X.std``.
+
+    Raises ``ConstantColumnError`` on the first constant column.  The results
+    equal ``X.mean(axis=0)`` and ``X.std(axis=0, ddof=1)`` bit for bit on a C-
+    or F-contiguous X: numpy sums the rows of a C-ordered matrix one after
+    another, so the squared deviations are summed over row blocks carried in
+    order, and each contiguous column of an F-ordered one on its own, so that
+    one goes by column blocks.
+    """
+    bad = np.flatnonzero(constant_columns(X))
+    if bad.size:
+        raise ConstantColumnError(int(bad[0]))
+    n, p = X.shape
+    means = X.mean(axis=0)
+    if X.flags.f_contiguous:
+        step = max(1, BLOCK_ELEMENTS // n)
+        return means, np.concatenate([X[:, j:j + step].std(axis=0, ddof=1) for j in range(0, p, step)])
+    total = np.zeros(p)
+    step = max(1, BLOCK_ELEMENTS // p)
+    for i in range(0, n, step):
+        dev = X[i:i + step] - means
+        dev *= dev
+        dev[0] += total
+        total = dev.sum(axis=0)
+    return means, np.sqrt(total / (n - 1))
+
+
+def _standardized_blocks(X: np.ndarray, col_means: np.ndarray, col_scales: np.ndarray):
+    """Row blocks of the standardized design, each made from the raw X on its own, with their rows."""
+    step = max(1, BLOCK_ELEMENTS // X.shape[1])
+    for i in range(0, X.shape[0], step):
+        block = X[i:i + step] - col_means
+        block /= col_scales
+        yield slice(i, i + step), block
+
+
+def standardize(dataset: Dataset, gram: bool = False) -> StandardizedDesign | GramDesign:
     """Center y; center each column of X and scale it to sample standard deviation 1.
 
     After scaling every column satisfies x_j^T x_j = n - 1, the convention the
     coordinate updates in the engine rely on.  ``Xs`` is written straight into
     one Fortran-ordered array, so each column is contiguous for the engine's
-    BLAS calls.  Columns with zero sample variance are a hard error (see
-    ``drop_constant_columns`` for the permissive path).
+    BLAS calls.  With ``gram`` the result is the Gram form instead: G = Xs^T Xs
+    and Xs^T ys, summed over row blocks of X that are centered and scaled one
+    at a time, so no n x p array is made.  Constant columns are a hard error
+    (see ``drop_constant_columns`` for the permissive path).
     """
     X, y = dataset.X, dataset.y
-    col_means = X.mean(axis=0)
-    col_scales = X.std(axis=0, ddof=1)
-    bad = np.flatnonzero(col_scales == 0.0)
-    if bad.size:
-        raise ConstantColumnError(int(bad[0]))
-    Xs = np.empty(X.shape, order="F")
-    np.subtract(X, col_means, out=Xs)
-    Xs /= col_scales
+    col_means, col_scales = _column_stats(X)
     y_mean = float(y.mean())
     ys = y - y_mean
-    return StandardizedDesign(Xs=Xs, ys=ys, y_mean=y_mean, col_means=col_means, col_scales=col_scales)
+    if not gram:
+        Xs = np.empty(X.shape, order="F")
+        np.subtract(X, col_means, out=Xs)
+        Xs /= col_scales
+        return StandardizedDesign(Xs=Xs, ys=ys, y_mean=y_mean, col_means=col_means, col_scales=col_scales)
+    p = X.shape[1]
+    G = np.zeros((p, p), order="F")
+    Xty = np.zeros(p)
+    for rows, block in _standardized_blocks(X, col_means, col_scales):
+        G += block.T @ block
+        Xty += block.T @ ys[rows]
+    return GramDesign(X=X, ys=ys, y_mean=y_mean, col_means=col_means, col_scales=col_scales,
+                      G=G, Xty=Xty, yty=float(ys @ ys))
 
 
-def unstandardize(b_scaled: np.ndarray, design: StandardizedDesign) -> tuple[np.ndarray, float]:
+def unstandardize(b_scaled: np.ndarray, design: StandardizedDesign | GramDesign) -> tuple[np.ndarray, float]:
     """Map coefficients from standardized coordinates back to raw units.
 
     Returns ``(coefficients, intercept)`` such that raw-space predictions
@@ -172,9 +302,8 @@ def unstandardize(b_scaled: np.ndarray, design: StandardizedDesign) -> tuple[np.
 
 
 def drop_constant_columns(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Return a copy of the dataset without zero-variance columns plus the kept indices."""
-    scales = dataset.X.std(axis=0, ddof=1)
-    kept = np.flatnonzero(scales > 0.0)
+    """Return a copy of the dataset without constant columns plus the kept indices."""
+    kept = np.flatnonzero(~constant_columns(dataset.X))
     if kept.size == 0:
         raise ConstantColumnError(0)
     if kept.size == dataset.p:

@@ -7,6 +7,13 @@ shared variance sigma0^2, and b_j carries an adaptive prior supplied by a
 lower bound: a conjugate coordinate update of every beta_j against partial
 residuals, a delegated empirical-Bayes refit of the prior plus latent
 posterior refresh (the normal-means step), and closed-form variance updates.
+
+The coordinate pass runs on one of two forms of the standardized design,
+chosen by shape alone.  When n < p it keeps the residual r = ys - Xs beta
+(n numbers) and streams the n x p ``Xs``.  When n >= p it keeps z = Xs^T r
+(p numbers) and reads the p x p Gram matrix G = Xs^T Xs, built once per fit
+from row blocks of the raw X, so a coordinate costs O(p) and ``Xs`` is never
+made.  Both forms give the same fit up to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Protocol
 import numpy as np
 
 from .ash import LOG_2PI, PosteriorStats
-from .data import Dataset, SideInfo, StandardizedDesign, standardize, unstandardize
+from .data import Dataset, GramDesign, SideInfo, StandardizedDesign, standardize, unstandardize
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -73,7 +80,11 @@ class FitConfig:
 
 @dataclass
 class FitState:
-    """Mutable state of one fit, in standardized coordinates; ``posterior`` is the last prior step's."""
+    """Mutable state of one fit, in standardized coordinates; ``posterior`` is the last prior step's.
+
+    ``r_bar`` is the residual the coordinate pass keeps in the design's form:
+    ys - Xs beta_bar on the column form, z = Xs^T (ys - Xs beta_bar) on the Gram form.
+    """
 
     beta_bar: np.ndarray
     r_bar: np.ndarray
@@ -121,8 +132,8 @@ def coefficient_variance(c: float, sigma2: float, sigma02: float) -> float:
     return 1.0 / (c / sigma2 + 1.0 / sigma02)
 
 
-def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
-    n, p = design.Xs.shape
+def init_state(design: StandardizedDesign | GramDesign, config: FitConfig) -> FitState:
+    n, p = design.n, design.p
     if config.init_beta is not None:
         beta = np.asarray(config.init_beta, dtype=float).copy()
         if beta.shape != (p,):
@@ -135,7 +146,7 @@ def init_state(design: StandardizedDesign, config: FitConfig) -> FitState:
     sigma02 = max(sigma02, VARIANCE_FLOOR)
     return FitState(
         beta_bar=beta,
-        r_bar=design.ys - design.Xs @ beta,
+        r_bar=design.residual(beta),
         sigma2=sigma2,
         sigma02=sigma02,
         s_j2=coefficient_variance(n - 1, sigma2, sigma02),
@@ -189,38 +200,42 @@ def update_sigma02(state: FitState) -> float:
     return max(value, VARIANCE_FLOOR)
 
 
-def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) -> None:
+def _coordinate_pass(state: FitState, design: StandardizedDesign | GramDesign, omega: float) -> None:
     """One cycle of conjugate coefficient updates over all columns.
 
     Each beta_j becomes the convex blend ``omega * ols + (1 - omega) * b_bar_j``
-    of its least-squares estimate and its latent prior mean.
-
-    Works on one copy of the residual per sweep, so an ``r_bar`` array the
-    caller still holds is left alone, and updates it in place with BLAS
-    ``ddot``/``daxpy`` on the Fortran-ordered columns of ``Xs``.  Because
+    of its least-squares estimate and its latent prior mean.  Because
     ``standardize`` scales every column to x_j^T x_j = n-1, the least-squares
     estimate against the partial residual r + x_j beta_j is
     x_j^T r / (n-1) + beta_j, so the partial residual is never formed.
+
+    Works on one copy of the kept residual per sweep, so an ``r_bar`` array
+    the caller still holds is left alone, and updates it in place with BLAS
+    ``daxpy`` on the Fortran-ordered columns of a matrix.  The two forms
+    differ only there: on the column form x_j^T r is a ``ddot`` with column j
+    of ``Xs`` and a change d in beta_j is ``r -= x_j d``; on the Gram form
+    x_j^T r is z_j and the change is ``z -= G[:, j] d``.
     """
     # imported once per sweep, here to keep scipy out of `import nash`
     from scipy.linalg.blas import daxpy, ddot
 
-    Xs = np.asfortranarray(design.Xs, dtype=float)
-    n, p = Xs.shape
-    columns = Xs.ravel(order="F")
-    scale = n - 1
+    gram = isinstance(design, GramDesign)
+    matrix = np.asfortranarray(design.G if gram else design.Xs, dtype=float)
+    m, p = matrix.shape
+    columns = matrix.ravel(order="F")
+    scale = design.n - 1
     beta = state.beta_bar.tolist()
     b_bar = state.posterior.mean.tolist()
     mle = [0.0] * p
     r = np.array(state.r_bar, dtype=float)
     for j in range(p):
-        offset = j * n
+        offset = j * m
         old = beta[j]
-        ols = ddot(columns, r, n, offset) / scale + old
+        ols = (r[j] if gram else ddot(columns, r, m, offset)) / scale + old
         mle[j] = ols
         new = omega * ols + (1.0 - omega) * b_bar[j]
         if new != old:
-            r = daxpy(columns, r, n, old - new, offset)
+            r = daxpy(columns, r, m, old - new, offset)
             beta[j] = new
     state.beta_bar[:] = beta
     state.beta_mle[:] = mle
@@ -228,7 +243,7 @@ def _coordinate_pass(state: FitState, design: StandardizedDesign, omega: float) 
     state.posterior_fresh = False
 
 
-def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> FitState:
+def sweep(state: FitState, design: StandardizedDesign | GramDesign, prior: PriorModel) -> FitState:
     """One full coordinate-ascent sweep, recording the ELBO at its fresh point.
 
     Order of operations: coefficient pass over the standardized columns
@@ -236,10 +251,10 @@ def sweep(state: FitState, design: StandardizedDesign, prior: PriorModel) -> Fit
     (the only point in the sweep where the subposterior identity holds), then
     the variance updates.
     """
-    n = design.Xs.shape[0]
+    n = design.n
     state.s_j2 = coefficient_variance(n - 1, state.sigma2, state.sigma02)
     _coordinate_pass(state, design, dampening_weight(n - 1, state.sigma2, state.sigma02))
-    rss = float(state.r_bar @ state.r_bar)
+    rss = design.rss(state.beta_bar, state.r_bar)
     state.posterior = prior.update(state.beta_bar, state.sigma02)
     state.posterior_fresh = True
     state.elbo_trace.append(compute_elbo(state, n, rss))
@@ -260,13 +275,15 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
     network priors, identical training seeds) give bit-identical results.  A
     prior object serves one fit: one whose ``updated`` reads True is rejected,
     and so is a ``side_info`` other than the ``prior.side_info`` it was built on.
+    The coordinate pass runs on the Gram form when n >= p and on the columns
+    of the standardized design otherwise.
     """
     if config is None:
         config = FitConfig()
     prior.side_info.check_given(side_info, prior.kind)
     if prior.updated:
         raise ConfigError(f"this {prior.kind!r} prior has already been fitted; give each fit a new prior object")
-    design = standardize(dataset)
+    design = standardize(dataset, gram=dataset.n >= dataset.p)
     side_info.check_p(design.p)
     state = init_state(design, config)
     converged = False
@@ -278,7 +295,7 @@ def fit(dataset: Dataset, side_info: SideInfo, prior: PriorModel, config: FitCon
                 converged = True
                 break
     coefficients, intercept = unstandardize(state.beta_bar, design)
-    fitted = design.y_mean + design.Xs @ state.beta_bar
+    fitted = design.fitted(state.beta_bar)
     null_mass = prior.prior_null_mass()
     return FitResult(
         state=state,

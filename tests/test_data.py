@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import nash.data
 from nash.data import (
     Dataset,
+    GramDesign,
     SideInfo,
+    constant_columns,
     drop_constant_columns,
     load_matrix_csv,
     load_response_csv,
@@ -66,9 +68,37 @@ class TestStandardize:
 
     def test_constant_column_is_an_error(self):
         ds = Dataset(y=np.zeros(3), X=np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 5.0]]))
-        with pytest.raises(ConstantColumnError) as err:
-            standardize(ds)
-        assert err.value.column == 0
+        for gram in (False, True):
+            with pytest.raises(ConstantColumnError) as err:
+                standardize(ds, gram=gram)
+            assert err.value.column == 0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, p", [(2, 1), (3, 5), (37, 1), (37, 4), (50, 9), (300, 7), (7, 300)])
+    def test_statistics_are_numpys_bit_for_bit(self, monkeypatch, rng, order, n, p):
+        # blocks of 64 elements split every shape here but the smallest
+        monkeypatch.setattr(nash.data, "BLOCK_ELEMENTS", 64)
+        X = rng.standard_normal((n, p)) * rng.uniform(0.1, 100.0, p) + rng.normal(0.0, 50.0, p)
+        X = np.asarray(X, order=order)
+        design = standardize(Dataset(y=rng.standard_normal(n), X=X))
+        np.testing.assert_array_equal(design.col_means, X.mean(axis=0))
+        np.testing.assert_array_equal(design.col_scales, X.std(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("block", [64, 2**20])
+    def test_gram_form_matches_the_columns(self, monkeypatch, rng, block):
+        monkeypatch.setattr(nash.data, "BLOCK_ELEMENTS", block)
+        X = rng.standard_normal((45, 6)) * rng.uniform(0.5, 10.0, 6) + rng.normal(0, 5, 6)
+        data = Dataset(y=rng.normal(2.0, 3.0, 45), X=X)
+        columns, gram = standardize(data), standardize(data, gram=True)
+        assert isinstance(gram, GramDesign) and not hasattr(gram, "Xs")
+        assert gram.X is data.X and (gram.n, gram.p) == (45, 6)
+        np.testing.assert_array_equal(gram.ys, columns.ys)
+        np.testing.assert_array_equal(gram.col_scales, columns.col_scales)
+        assert gram.y_mean == columns.y_mean
+        Xs = columns.Xs
+        np.testing.assert_allclose(gram.G, Xs.T @ Xs, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(gram.Xty, Xs.T @ columns.ys, rtol=1e-13, atol=1e-12)
+        assert gram.yty == pytest.approx(float(columns.ys @ columns.ys), rel=1e-15)
 
     def test_column_invariants(self, rng):
         X = rng.standard_normal((30, 6)) * rng.uniform(0.5, 10.0, size=6) + rng.normal(0, 5, size=6)
@@ -149,6 +179,30 @@ class TestDropConstantColumns:
         reduced, kept = drop_constant_columns(Dataset(y=np.zeros(3), X=X))
         np.testing.assert_array_equal(kept, [0, 2])
         assert reduced.p == 2
+
+
+class TestConstantColumns:
+    """A constant column is found as max == min: its sample sd is not 0 where its mean rounds."""
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 7.77, 123.456])
+    @pytest.mark.parametrize("n", [7, 100, 1000, 100003])
+    def test_constant_whose_mean_rounds(self, value, n):
+        X = np.column_stack([np.arange(n, dtype=float), np.full(n, value)])
+        np.testing.assert_array_equal(constant_columns(X), [False, True])
+        data = Dataset(y=np.arange(n, dtype=float), X=X)
+        for gram in (False, True):
+            with pytest.raises(ConstantColumnError) as err:
+                standardize(data, gram=gram)
+            assert err.value.column == 1
+        reduced, kept = drop_constant_columns(data)
+        np.testing.assert_array_equal(kept, [0])
+        np.testing.assert_array_equal(reduced.X, X[:, :1])
+
+    def test_columns_that_differ_anywhere_are_kept(self):
+        X = np.full((5, 3), 0.1)
+        X[4, 0] = np.nextafter(0.1, 1.0)
+        X[0, 2] = -0.1
+        np.testing.assert_array_equal(constant_columns(X), [False, True, False])
 
 
 class TestCsv:

@@ -12,7 +12,7 @@ from conftest import random_regression
 from nash import ash, engine
 from nash.ash import (AshPrior, MixtureGrid, MixtureWeights, PosteriorStats, marginal_loglik_matrix,
                       mixture_posterior_stats)
-from nash.data import Dataset, SideInfo, standardize
+from nash.data import Dataset, GramDesign, SideInfo, StandardizedDesign, standardize
 from nash.engine import (
     FitConfig,
     _coordinate_pass,
@@ -164,19 +164,27 @@ class TestCoordinatePass:
         state.r_bar = design.ys - design.Xs @ state.beta_bar
         return state
 
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order", ["C", "F", "gram"])
     def test_matches_textbook_loop(self, rng, order):
         design = make_design(seed=21, n=40, p=12)
-        design = dataclasses.replace(design, Xs=np.asarray(design.Xs, order=order))
+        if order == "gram":
+            X, y, _ = random_regression(21, n=40, p=12)
+            passed = standardize(Dataset(y=y, X=X), gram=True)
+        else:
+            passed = design = dataclasses.replace(design, Xs=np.asarray(design.Xs, order=order))
         state = self._state(design, rng)
         expected = copy.deepcopy(state)
+        state.r_bar = passed.residual(state.beta_bar)
         omega = dampening_weight(design.n - 1, state.sigma2, state.sigma02)
         for _ in range(3):
-            _coordinate_pass(state, design, omega)
+            _coordinate_pass(state, passed, omega)
             textbook_coordinate_pass(expected, design, omega)
         np.testing.assert_allclose(state.beta_bar, expected.beta_bar, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.beta_mle, expected.beta_mle, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.r_bar, expected.r_bar, rtol=0, atol=1e-12)
+        if order == "gram":  # the Gram form keeps z = Xs^T r, a sum of n terms, in place of r
+            np.testing.assert_allclose(state.r_bar, design.Xs.T @ expected.r_bar, rtol=0, atol=1e-11)
+        else:
+            np.testing.assert_allclose(state.r_bar, expected.r_bar, rtol=0, atol=1e-12)
         assert state.posterior_fresh is False
 
     def test_leaves_held_residual_alone(self, rng):
@@ -241,6 +249,17 @@ class TestSweep:
             sweep(state, design, prior)
             drift = np.max(np.abs(state.r_bar - (design.ys - design.Xs @ state.beta_bar)))
             assert drift < 1e-8
+
+    def test_gram_residual_consistency_after_every_sweep(self):
+        X, y, _ = random_regression(2, n=40, p=10)
+        design = standardize(Dataset(y=y, X=X), gram=True)
+        Xs, ys = make_design(seed=2, n=40, p=10).Xs, design.ys
+        prior = AshPrior(n_components=8)
+        state = init_state(design, FitConfig())
+        for _ in range(10):
+            sweep(state, design, prior)
+            drift = np.max(np.abs(state.r_bar - Xs.T @ (ys - Xs @ state.beta_bar)))
+            assert drift < 1e-10
 
     def test_autoregressive_reconstruction(self):
         design = make_design(seed=7, n=30, p=6)
@@ -643,20 +662,101 @@ class TestTracerContract:
     """The benchmark tracer patches the regression path by name; moving a patched name must fail here."""
 
     def test_ash_fit_is_traced(self, spans):
-        X, y, _ = random_regression(6, n=40, p=10)
-        with spans.instrument(spans.Tracer()) as tracer:
-            result = nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.none(), nash.AshPrior(n_components=5),
-                              nash.FitConfig(max_sweeps=4))
-        sweeps = tracer.counts["engine.sweeps"]
-        assert sweeps == result.sweeps == len(result.elbo_trace) > 0
-        per_fit = {"ash.em": sweeps, "ash.posterior": sweeps, "prior.update": sweeps,
-                   "engine.fit": 1, "data.standardize": 1}
-        for name, count in per_fit.items():
-            assert sum(s.name == name for s in tracer.spans) == count, name
+        for n, p in ((40, 10), (10, 40)):  # the Gram path, then the column path
+            X, y, _ = random_regression(6, n=n, p=p)
+            with spans.instrument(spans.Tracer()) as tracer:
+                result = nash.fit(nash.Dataset(y=y, X=X), nash.SideInfo.none(), nash.AshPrior(n_components=5),
+                                  nash.FitConfig(max_sweeps=4))
+            sweeps = tracer.counts["engine.sweeps"]
+            assert sweeps == result.sweeps == len(result.elbo_trace) > 0
+            per_fit = {"ash.em": sweeps, "ash.posterior": sweeps, "prior.update": sweeps,
+                       "engine.fit": 1, "data.standardize": 1}
+            for name, count in per_fit.items():
+                assert sum(s.name == name for s in tracer.spans) == count, name
         # originals restored
         for func in (nash.fit, engine.fit, engine.sweep, engine.standardize, ash.fit_weights_em,
                      ash.mixture_posterior_stats, ash.mixture_objective):
             assert not hasattr(func, "__wrapped__")
+
+
+def fit_in_form(monkeypatch, gram, dataset, config):
+    """``fit`` with its design built in the Gram form or the column form, whatever the shape."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "standardize", lambda data, **_: standardize(data, gram=gram))
+        return fit(dataset, SideInfo.none(), AshPrior(), config)
+
+
+def tall_regression(seed, n, p, rho, pve):
+    """AR(1)-correlated Gaussian columns, 10 effects, noise at proportion of variance explained ``pve``."""
+    rng = np.random.default_rng([seed, 26])
+    X = rng.standard_normal((n, p))
+    for j in range(1, p):
+        X[:, j] = rho * X[:, j - 1] + math.sqrt(1.0 - rho * rho) * X[:, j]
+    b = np.zeros(p)
+    b[rng.choice(p, 10, replace=False)] = rng.standard_normal(10)
+    signal = X @ b
+    return X, signal + rng.normal(0.0, math.sqrt(np.var(signal) * (1.0 - pve) / pve), n)
+
+
+class TestGramPath:
+    """When n >= p the fit runs on G = Xs^T Xs; it must give the column path's fit up to rounding."""
+
+    @pytest.mark.parametrize("n, p, form", [(40, 10, GramDesign), (10, 10, GramDesign), (9, 10, StandardizedDesign)])
+    def test_path_follows_shape(self, monkeypatch, n, p, form):
+        built = []
+
+        def recorded(data, **kw):
+            built.append(standardize(data, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "standardize", recorded)
+        X, y, _ = random_regression(1, n=n, p=p)
+        fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(4), FitConfig(max_sweeps=2))
+        assert [type(d) for d in built] == [form]
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    @pytest.mark.parametrize("pve", [0.5, 0.99, 0.99999])
+    @pytest.mark.parametrize("init", [False, True])
+    @pytest.mark.parametrize("n, p", [(200, 50), (60, 60)])
+    def test_matches_column_path(self, monkeypatch, seed, rho, pve, init, n, p):
+        X, y = tall_regression(seed, n, p, rho, pve)
+        init_beta = np.random.default_rng(seed).normal(0.0, 0.1, p) if init else None
+        data, config = Dataset(y=y, X=X), FitConfig(init_beta=init_beta)
+        columns = fit_in_form(monkeypatch, False, data, config)
+        gram = fit(data, SideInfo.none(), AshPrior(), config)
+        assert gram.sweeps == columns.sweeps
+        scale = np.max(np.abs(columns.coefficients))
+        np.testing.assert_allclose(gram.coefficients, columns.coefficients, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(gram.elbo_trace, columns.elbo_trace, rtol=1e-9)
+        assert gram.intercept == pytest.approx(columns.intercept, rel=1e-12, abs=1e-12)
+        # the Gram path's fitted values are the raw X's
+        np.testing.assert_array_equal(gram.fitted_values, predict(gram, X))
+
+    def test_noise_free_response_floors_sigma2(self, monkeypatch):
+        rss, original = [], GramDesign.rss
+
+        def recorded(design, beta, z):
+            rss.append(original(design, beta, z))
+            return rss[-1]
+
+        monkeypatch.setattr(GramDesign, "rss", recorded)
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((60, 12))
+        y = X[:, :4] @ rng.standard_normal(4)
+        result = fit(Dataset(y=y, X=X), SideInfo.none(), AshPrior(n_components=8), FitConfig())
+        assert result.state.sigma2 == engine.VARIANCE_FLOOR
+        assert len(rss) == result.sweeps and min(rss) >= 0.0
+
+    def test_rss_where_the_quadratic_form_cancels(self):
+        # at the least-squares solution of a noise-free response the quadratic form is all rounding
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((80, 15))
+        data = Dataset(y=X @ rng.standard_normal(15), X=X)
+        design, columns = standardize(data, gram=True), standardize(data)
+        beta = np.linalg.lstsq(columns.Xs, columns.ys, rcond=None)[0]
+        r = columns.residual(beta)
+        assert 0.0 <= design.rss(beta, design.residual(beta)) == pytest.approx(float(r @ r), rel=1e-6, abs=1e-24)
 
 
 class TestPredict:
